@@ -413,9 +413,10 @@ class HEBS:
         HEBSResult
             The result at the selected dynamic range.  If even the full
             range exceeds the budget (pathological images under a very tight
-            budget) the full-range result is returned — no compression and
-            essentially no power saving, but never a budget violation that
-            could have been avoided.
+            budget) the full-range result is returned, and it is over
+            budget: equalizing onto ``[g_min, levels - 1]`` is not the
+            identity, so this fallback can violate a budget that ``beta = 1``
+            with the identity LUT would have kept (see ROADMAP.md, open item 5).
         """
         if max_distortion < 0:
             raise ValueError("max_distortion must be non-negative")

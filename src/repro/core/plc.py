@@ -21,7 +21,8 @@ enough to run per frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,62 +130,108 @@ def segment_error(x: Sequence[float], y: Sequence[float], start: int,
     return float(np.sum((ys - predicted) ** 2))
 
 
+class _AbscissaTerms(NamedTuple):
+    """The x-only terms of the chord errors over every pair ``i < j``.
+
+    Pairs run in row-major order (by ``i``, then ``j``).  ``lower`` is each
+    pair's flat index into an ``n x n`` matrix at ``[j, i]``.  All arrays
+    are read-only.
+    """
+
+    n: int
+    i: np.ndarray
+    j: np.ndarray
+    x_i: np.ndarray
+    dx: np.ndarray
+    sum_x: np.ndarray
+    count: np.ndarray
+    count_x_i: np.ndarray
+    sum_b2: np.ndarray
+    adjacent: np.ndarray
+    lower: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def _abscissa_terms(abscissa: bytes) -> _AbscissaTerms:
+    """The x-only chord terms, cached by abscissa content.
+
+    Every coarsening of a LUT runs on the same abscissa ``arange(levels)``,
+    so these are computed once per bit depth.
+    """
+    x = np.frombuffer(abscissa, dtype=np.float64)
+    n = x.size
+    i, j = np.triu_indices(n, 1)
+    x_i = x[i]
+    count = (j - i + 1).astype(np.float64)
+    prefix_x = _prefix_sums(x)
+    prefix_xx = _prefix_sums(x * x)
+    sum_x = prefix_x[j + 1] - prefix_x[i]
+    sum_xx = prefix_xx[j + 1] - prefix_xx[i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x[j] - x_i
+        sum_b2 = sum_xx - 2.0 * x_i * sum_x + count * x_i * x_i
+        count_x_i = count * x_i
+    terms = _AbscissaTerms(n, i, j, x_i, dx, sum_x, count, count_x_i, sum_b2,
+                           j == i + 1, j * n + i)
+    for array in terms[1:]:          # every field but n
+        array.setflags(write=False)
+    return terms
+
+
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    """``[0, v0, v0 + v1, ...]``: inclusive sums over ``i..j`` are
+    ``prefix[j + 1] - prefix[i]``."""
+    return np.concatenate([[0.0], np.cumsum(values)])
+
+
+def _pair_errors(x: np.ndarray, y: np.ndarray
+                 ) -> tuple[_AbscissaTerms, np.ndarray]:
+    """Chord errors of every pair ``i < j`` (in :class:`_AbscissaTerms`
+    order), with the x-only terms they were computed from."""
+    terms = _abscissa_terms(x.tobytes())
+    i, j1 = terms.i, terms.j + 1
+    prefix_y = _prefix_sums(y)
+    prefix_yy = _prefix_sums(y * y)
+    prefix_xy = _prefix_sums(x * y)
+    sum_y = prefix_y[j1] - prefix_y[i]
+    sum_yy = prefix_yy[j1] - prefix_yy[i]
+    sum_xy = prefix_xy[j1] - prefix_xy[i]
+
+    x_i, y_i, y_j = terms.x_i, y[i], y[terms.j]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slope = (y_j - y_i) / terms.dx
+
+        sum_a2 = sum_yy - 2.0 * y_i * sum_y + terms.count * y_i * y_i
+        sum_ab = (sum_xy - x_i * sum_y - y_i * terms.sum_x
+                  + terms.count_x_i * y_i)
+
+        errors = sum_a2 - 2.0 * slope * sum_ab + slope * slope * terms.sum_b2
+
+    # Adjacent breakpoints form a chord with no interior points: the error is
+    # exactly zero, but the formula above can produce 0 * inf = nan when two
+    # x values are almost coincident (huge slope).  Force the exact value.
+    errors = np.where(terms.adjacent, 0.0, errors)
+    # Any other non-finite entry (overflowing slope across a near-duplicate
+    # abscissa) is treated as an unusable chord.
+    errors = np.where(np.isfinite(errors), errors, np.inf)
+    return terms, np.maximum(errors, 0.0)  # clamp tiny negative round-off
+
+
 def chord_error_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """All-pairs chord errors ``err[i, j]`` for ``i < j`` in ``O(n^2)``.
 
     Uses prefix sums of ``y``, ``y^2``, ``x``, ``x^2`` and ``x*y`` so each
     entry costs O(1): with ``a_k = y_k - y_i`` and ``b_k = x_k - x_i`` the
     chord error is ``sum a_k^2 - 2 s sum a_k b_k + s^2 sum b_k^2`` where
-    ``s`` is the chord slope.
+    ``s`` is the chord slope.  The terms that depend on ``x`` alone (the
+    pair indices, the ``x`` sums and ``sum b_k^2``) are cached by the
+    content of ``x``; entries with ``i >= j`` are 0.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = x.size
-    prefix = {
-        "y": np.concatenate([[0.0], np.cumsum(y)]),
-        "yy": np.concatenate([[0.0], np.cumsum(y * y)]),
-        "x": np.concatenate([[0.0], np.cumsum(x)]),
-        "xx": np.concatenate([[0.0], np.cumsum(x * x)]),
-        "xy": np.concatenate([[0.0], np.cumsum(x * y)]),
-    }
-
-    def window_sum(table: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        # inclusive sum over indices i..j
-        return table[j + 1] - table[i]
-
-    i_index, j_index = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    valid = j_index > i_index
-    i_flat = i_index[valid]
-    j_flat = j_index[valid]
-
-    count = (j_flat - i_flat + 1).astype(np.float64)
-    sum_y = window_sum(prefix["y"], i_flat, j_flat)
-    sum_yy = window_sum(prefix["yy"], i_flat, j_flat)
-    sum_x = window_sum(prefix["x"], i_flat, j_flat)
-    sum_xx = window_sum(prefix["xx"], i_flat, j_flat)
-    sum_xy = window_sum(prefix["xy"], i_flat, j_flat)
-
-    x_i, y_i = x[i_flat], y[i_flat]
-    x_j, y_j = x[j_flat], y[j_flat]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        slope = (y_j - y_i) / (x_j - x_i)
-
-        sum_a2 = sum_yy - 2.0 * y_i * sum_y + count * y_i * y_i
-        sum_b2 = sum_xx - 2.0 * x_i * sum_x + count * x_i * x_i
-        sum_ab = sum_xy - x_i * sum_y - y_i * sum_x + count * x_i * y_i
-
-        errors = sum_a2 - 2.0 * slope * sum_ab + slope * slope * sum_b2
-
-    # Adjacent breakpoints form a chord with no interior points: the error is
-    # exactly zero, but the formula above can produce 0 * inf = nan when two
-    # x values are almost coincident (huge slope).  Force the exact value.
-    errors = np.where(j_flat == i_flat + 1, 0.0, errors)
-    # Any other non-finite entry (overflowing slope across a near-duplicate
-    # abscissa) is treated as an unusable chord.
-    errors = np.where(np.isfinite(errors), errors, np.inf)
-
-    matrix = np.zeros((n, n), dtype=np.float64)
-    matrix[valid] = np.maximum(errors, 0.0)  # clamp tiny negative round-off
+    terms, errors = _pair_errors(x, y)
+    matrix = np.zeros((terms.n, terms.n), dtype=np.float64)
+    matrix[terms.i, terms.j] = errors
     return matrix
 
 
@@ -204,6 +251,12 @@ def coarsen_curve(curve: PiecewiseLinearCurve, n_segments: int
     approximation must pass through original breakpoints, forcing an extra
     breakpoint can occasionally *increase* the error; the hardware constraint
     (number of controllable voltage sources) is an upper bound anyway.
+
+    Work per call: the ``y``-dependent chord terms of every pair and the
+    masked chord-error matrix are built once, then the ``n_segments`` DP
+    steps each scan it.  The ``x``-only terms come from a cache keyed by the
+    abscissa (see :func:`chord_error_matrix`), so repeated coarsenings of
+    LUTs with one bit depth compute them once per process.
     """
     if n_segments < 1:
         raise ValueError("need at least one segment")
@@ -215,30 +268,32 @@ def coarsen_curve(curve: PiecewiseLinearCurve, n_segments: int
         return PiecewiseLinearCurve(curve.x, curve.y, 0.0,
                                     tuple(range(n)))
 
-    errors = chord_error_matrix(x, y)
+    # chords[j, i]: error of the chord i -> j, infinite unless i < j (only
+    # forward chords are allowed).  Stored with the end point as the row so
+    # each DP step reduces over contiguous rows.
+    terms, errors = _pair_errors(x, y)
+    chords = np.full((n, n), np.inf)
+    chords.ravel()[terms.lower] = errors
 
-    # cost[j, s]: minimal summed error covering breakpoints 0..j with exactly
+    # cost[s, j]: minimal summed error covering breakpoints 0..j with exactly
     # s chords ending at breakpoint j.
-    infinity = np.inf
-    cost = np.full((n, n_segments + 1), infinity)
-    parent = np.full((n, n_segments + 1), -1, dtype=np.int64)
+    cost = np.full((n_segments + 1, n), np.inf)
+    parent = np.full((n_segments + 1, n), -1, dtype=np.int64)
     cost[0, 0] = 0.0
+    ends = np.arange(n)
     for s in range(1, n_segments + 1):
-        previous = cost[:, s - 1]
-        # candidate[i, j] = cost of reaching i with s-1 chords + chord i->j
-        candidate = previous[:, None] + errors
-        candidate[np.tril_indices(n)] = infinity  # only i < j allowed
-        best_parent = np.argmin(candidate, axis=0)
-        best_cost = candidate[best_parent, np.arange(n)]
-        cost[:, s] = best_cost
-        parent[:, s] = best_parent
+        # candidate[j, i] = cost of reaching i with s-1 chords + chord i->j
+        candidate = chords + cost[s - 1]
+        best_parent = np.argmin(candidate, axis=1)
+        cost[s] = candidate[ends, best_parent]
+        parent[s] = best_parent
 
     # Use *at most* n_segments chords: because the approximation must
     # interpolate a subset of the original breakpoints (Eq. 8), adding a
     # breakpoint can occasionally increase the error, so the best segment
     # count may be smaller than the budget.  The hardware constraint is an
     # upper bound on the segment count, so picking fewer is always legal.
-    final_costs = cost[n - 1, 1:n_segments + 1]
+    final_costs = cost[1:, n - 1]
     if not np.any(np.isfinite(final_costs)):
         raise RuntimeError("PLC dynamic program failed to reach the last point")
     best_segments = int(np.argmin(final_costs)) + 1
@@ -248,7 +303,7 @@ def coarsen_curve(curve: PiecewiseLinearCurve, n_segments: int
     indices = [n - 1]
     node, s = n - 1, best_segments
     while s > 0:
-        node = int(parent[node, s])
+        node = int(parent[s, node])
         indices.append(node)
         s -= 1
     indices.reverse()

@@ -106,7 +106,11 @@ class HVSModel:
         mean — a cheap stand-in for local contrast energy.
         """
         values = image.to_grayscale().as_float()
-        background = _box_blur(values, self.neighborhood_radius)
+        return self._activity(values,
+                              _box_blur(values, self.neighborhood_radius))
+
+    def _activity(self, values: np.ndarray,
+                  background: np.ndarray) -> np.ndarray:
         deviation = np.abs(values - background)
         return np.clip(_box_blur(deviation, self.neighborhood_radius) * 4.0,
                        0.0, 1.0)
@@ -118,8 +122,9 @@ class HVSModel:
         flat regions); low weight means it is partially masked (bright or
         busy regions).
         """
-        luminance = self.background_luminance(image)
-        activity = self.local_activity(image)
+        values = image.to_grayscale().as_float()
+        luminance = _box_blur(values, self.neighborhood_radius)
+        activity = self._activity(values, luminance)
         adaptation = 1.0 / (1.0 + self.adaptation_strength * luminance)
         masking = 1.0 / (1.0 + self.masking_strength * activity)
         weights = adaptation * masking

@@ -21,11 +21,22 @@ average of the window indices computed on a sliding window (default 8x8).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.imaging.image import Image
 
-__all__ = ["universal_quality_index", "uqi_map", "uqi_components_map"]
+__all__ = [
+    "universal_quality_index",
+    "uqi_map",
+    "uqi_components_map",
+    "UQIReference",
+    "UQIComponents",
+    "uqi_reference",
+    "uqi_components",
+]
 
 #: Numerical guard used when both denominators vanish (flat windows).
 _EPSILON = 1e-12
@@ -108,6 +119,109 @@ def uqi_map(original: Image, transformed: Image, window: int = 8) -> np.ndarray:
     return quality
 
 
+@dataclass(frozen=True)
+class UQIReference:
+    """The original-side window statistics of the UQI, computed once.
+
+    Everything here depends only on the original image and the window, so a
+    caller comparing many candidates against one original (a bisection over
+    dynamic ranges, say) builds it once with :func:`uqi_reference` and
+    passes it to :func:`uqi_components` for every candidate.  The arrays are
+    read-only.
+
+    Attributes
+    ----------
+    shape:
+        Shape of the original image (RGB originals keep their channel axis).
+    window:
+        Side of the square sliding window.
+    values:
+        The original's grayscale pixel values in ``[0, 1]``.
+    mean, variance:
+        Per-window mean and variance (clamped at 0).
+    """
+
+    shape: tuple[int, ...]
+    window: int
+    values: np.ndarray
+    mean: np.ndarray
+    variance: np.ndarray
+
+
+class UQIComponents(NamedTuple):
+    """Per-window UQI factors plus the candidate's window variance."""
+
+    correlation: np.ndarray
+    luminance: np.ndarray
+    contrast: np.ndarray
+    candidate_variance: np.ndarray
+
+
+def _window_moments(values: np.ndarray, window: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-window mean and variance (clamped at 0) of ``values``."""
+    n = float(window * window)
+    mean = _sliding_window_sums(values, window) / n
+    variance = np.maximum(
+        _sliding_window_sums(values * values, window) / n - mean**2, 0.0)
+    return mean, variance
+
+
+def uqi_reference(original: Image, window: int = 8) -> UQIReference:
+    """Window statistics of ``original`` for :func:`uqi_components`."""
+    values = original.to_grayscale().as_float()
+    if window < 2:
+        raise ValueError("window must be at least 2 pixels")
+    if window > min(values.shape):
+        raise ValueError(
+            f"window ({window}) larger than image ({values.shape})"
+        )
+    mean, variance = _window_moments(values, window)
+    for array in (values, mean, variance):
+        array.setflags(write=False)
+    return UQIReference(original.shape, window, values, mean, variance)
+
+
+def uqi_components(reference: UQIReference, transformed: Image
+                   ) -> UQIComponents:
+    """Per-window UQI factors of ``transformed`` against a prepared original.
+
+    Computes only the candidate-side window sums (its mean, variance and
+    covariance with the original); the original's come from ``reference``.
+    The factors are those of :func:`uqi_components_map`, bit for bit.
+    """
+    if reference.shape != transformed.shape:
+        raise ValueError(
+            f"image shapes differ: {reference.shape} vs {transformed.shape}"
+        )
+    candidate = transformed.to_grayscale().as_float()
+    window = reference.window
+    mean_x, var_x = reference.mean, reference.variance
+    mean_y, var_y = _window_moments(candidate, window)
+    cov_xy = (_sliding_window_sums(reference.values * candidate, window)
+              / float(window * window) - mean_x * mean_y)
+    std_x = np.sqrt(var_x)
+    std_y = np.sqrt(var_y)
+
+    flat_x = var_x < _EPSILON
+    flat_y = var_y < _EPSILON
+    one_flat = flat_x ^ flat_y
+    generic = ~(flat_x | flat_y)
+    # both flat: correlation and contrast 1; exactly one flat: both 0
+    degenerate = np.where(one_flat, 0.0, 1.0)
+    mean_sq = mean_x**2 + mean_y**2
+    # the quotients are evaluated on every window and kept only where they
+    # are defined, which is where the masks select them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        correlation = np.where(generic, cov_xy / (std_x * std_y), degenerate)
+        luminance = np.where(mean_sq >= _EPSILON,
+                             2.0 * mean_x * mean_y / mean_sq, 1.0)
+        contrast = np.where(generic, 2.0 * std_x * std_y / (var_x + var_y),
+                            degenerate)
+    correlation = np.clip(correlation, -1.0, 1.0)
+    return UQIComponents(correlation, luminance, contrast, var_y)
+
+
 def uqi_components_map(original: Image, transformed: Image, window: int = 8
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-window UQI factors: ``(correlation, luminance, contrast)``.
@@ -131,59 +245,12 @@ def uqi_components_map(original: Image, transformed: Image, window: int = 8
     Flat windows are handled with the Wang-Bovik conventions: if both
     windows are flat the correlation and contrast are taken as 1; if exactly
     one is flat the correlation and contrast are 0 (all structure lost).
+
+    This is :func:`uqi_reference` followed by :func:`uqi_components`; call
+    those two directly to compare many candidates against one original.
     """
-    if original.shape != transformed.shape:
-        raise ValueError(
-            f"image shapes differ: {original.shape} vs {transformed.shape}"
-        )
-    reference = original.to_grayscale().as_float()
-    candidate = transformed.to_grayscale().as_float()
-    if window < 2:
-        raise ValueError("window must be at least 2 pixels")
-    if window > min(reference.shape):
-        raise ValueError(
-            f"window ({window}) larger than image ({reference.shape})"
-        )
-
-    n = float(window * window)
-    sum_x = _sliding_window_sums(reference, window)
-    sum_y = _sliding_window_sums(candidate, window)
-    sum_xx = _sliding_window_sums(reference * reference, window)
-    sum_yy = _sliding_window_sums(candidate * candidate, window)
-    sum_xy = _sliding_window_sums(reference * candidate, window)
-
-    mean_x = sum_x / n
-    mean_y = sum_y / n
-    var_x = np.maximum(sum_xx / n - mean_x**2, 0.0)
-    var_y = np.maximum(sum_yy / n - mean_y**2, 0.0)
-    cov_xy = sum_xy / n - mean_x * mean_y
-    std_x = np.sqrt(var_x)
-    std_y = np.sqrt(var_y)
-
-    both_flat = (var_x < _EPSILON) & (var_y < _EPSILON)
-    one_flat = ((var_x < _EPSILON) ^ (var_y < _EPSILON))
-
-    correlation = np.ones_like(mean_x)
-    generic = ~both_flat & ~one_flat
-    correlation[generic] = cov_xy[generic] / (std_x[generic] * std_y[generic])
-    correlation[one_flat] = 0.0
-    correlation = np.clip(correlation, -1.0, 1.0)
-
-    luminance = np.ones_like(mean_x)
-    lum_defined = mean_x**2 + mean_y**2 >= _EPSILON
-    luminance[lum_defined] = (
-        2.0 * mean_x[lum_defined] * mean_y[lum_defined]
-        / (mean_x[lum_defined] ** 2 + mean_y[lum_defined] ** 2)
-    )
-
-    contrast = np.ones_like(mean_x)
-    contrast[generic] = (
-        2.0 * std_x[generic] * std_y[generic]
-        / (var_x[generic] + var_y[generic])
-    )
-    contrast[one_flat] = 0.0
-
-    return correlation, luminance, contrast
+    components = uqi_components(uqi_reference(original, window), transformed)
+    return components.correlation, components.luminance, components.contrast
 
 
 def universal_quality_index(original: Image, transformed: Image,

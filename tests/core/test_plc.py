@@ -181,3 +181,112 @@ class TestKBandSpreadingFunction:
         deviations = np.asarray(exact.y) - np.asarray(coarse(np.asarray(exact.x)))
         assert coarse.mean_squared_error == pytest.approx(
             float(np.mean(deviations**2)), rel=1e-6)
+
+
+def _reference_chord_error_matrix(x, y):
+    """The chord errors with every term, x-only ones included, per call."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = x.size
+    prefix = {name: np.concatenate([[0.0], np.cumsum(values)])
+              for name, values in (("y", y), ("yy", y * y), ("x", x),
+                                   ("xx", x * x), ("xy", x * y))}
+    i_index, j_index = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    valid = j_index > i_index
+    i, j = i_index[valid], j_index[valid]
+
+    def window_sum(name):
+        return prefix[name][j + 1] - prefix[name][i]
+
+    count = (j - i + 1).astype(np.float64)
+    sum_y, sum_yy = window_sum("y"), window_sum("yy")
+    sum_x, sum_xx, sum_xy = window_sum("x"), window_sum("xx"), window_sum("xy")
+    x_i, y_i, x_j, y_j = x[i], y[i], x[j], y[j]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slope = (y_j - y_i) / (x_j - x_i)
+        sum_a2 = sum_yy - 2.0 * y_i * sum_y + count * y_i * y_i
+        sum_b2 = sum_xx - 2.0 * x_i * sum_x + count * x_i * x_i
+        sum_ab = sum_xy - x_i * sum_y - y_i * sum_x + count * x_i * y_i
+        errors = sum_a2 - 2.0 * slope * sum_ab + slope * slope * sum_b2
+    errors = np.where(j == i + 1, 0.0, errors)
+    errors = np.where(np.isfinite(errors), errors, np.inf)
+    matrix = np.zeros((n, n), dtype=np.float64)
+    matrix[valid] = np.maximum(errors, 0.0)
+    return matrix
+
+
+def _reference_coarsening(curve, n_segments):
+    """Eq. (9) with the i < j mask rebuilt in every step: returns the
+    breakpoint indices and the mean squared error."""
+    x, y = np.asarray(curve.x), np.asarray(curve.y)
+    n = x.size
+    errors = _reference_chord_error_matrix(x, y)
+    cost = np.full((n, n_segments + 1), np.inf)
+    parent = np.full((n, n_segments + 1), -1, dtype=np.int64)
+    cost[0, 0] = 0.0
+    for s in range(1, n_segments + 1):
+        candidate = cost[:, s - 1][:, None] + errors
+        candidate[np.tril_indices(n)] = np.inf
+        parent[:, s] = np.argmin(candidate, axis=0)
+        cost[:, s] = candidate[parent[:, s], np.arange(n)]
+    final_costs = cost[n - 1, 1:]
+    segments = int(np.argmin(final_costs)) + 1
+    indices = [n - 1]
+    for s in range(segments, 0, -1):
+        indices.append(int(parent[indices[-1], s]))
+    return tuple(reversed(indices)), float(final_costs[segments - 1]) / n
+
+
+class TestMatchesRecomputingSolver:
+    """The cached x-side terms and the once-built masked matrix change no
+    bit of the result."""
+
+    def _assert_identical(self, curve, n_segments):
+        x, y = np.asarray(curve.x), np.asarray(curve.y)
+        assert np.array_equal(chord_error_matrix(x, y),
+                              _reference_chord_error_matrix(x, y))
+        coarse = coarsen_curve(curve, n_segments)
+        indices, mse = _reference_coarsening(curve, n_segments)
+        assert coarse.breakpoint_indices == indices
+        assert coarse.mean_squared_error == mse
+        assert coarse.x == tuple(curve.x[k] for k in indices)
+        assert coarse.y == tuple(curve.y[k] for k in indices)
+
+    @pytest.mark.parametrize("target_range", [12, 90, 180, 255])
+    def test_suite_luts(self, small_suite, target_range):
+        for image in small_suite.values():
+            ghe = equalize_histogram(image.to_grayscale(), 0, target_range)
+            exact = PiecewiseLinearCurve.from_lut(ghe.transform)
+            for n_segments in (1, 4, 8):
+                self._assert_identical(exact, n_segments)
+
+    def test_random_curves_with_non_integer_abscissae(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(rng.integers(3, 40))
+            x = np.cumsum(rng.uniform(0.01, 5.0, n)) - 3.0
+            y = np.cumsum(rng.uniform(0.0, 8.0, n))
+            curve = PiecewiseLinearCurve(tuple(x), tuple(y))
+            for n_segments in (1, 2, 5, 8):
+                if n_segments < n - 1:
+                    self._assert_identical(curve, n_segments)
+
+    def test_collinear_runs_break_ties_alike(self):
+        # runs of collinear points give many zero-error chords, so the DP
+        # meets exact ties and must resolve them as the reference does
+        y = (0.0, 1.0, 2.0, 3.0, 4.0, 4.0, 4.0, 4.0, 6.0, 8.0, 10.0, 12.0)
+        curve = PiecewiseLinearCurve(tuple(float(v) for v in range(12)), y)
+        for n_segments in (1, 2, 3, 4, 6, 9):
+            self._assert_identical(curve, n_segments)
+        # two 3-chord subsets, through level 4 or level 5, tie exactly
+        tied = PiecewiseLinearCurve(
+            tuple(float(v) for v in range(7)),
+            (1.0, 3.0, 4.0, 6.0, 6.0, 7.0, 9.0))
+        self._assert_identical(tied, 3)
+        assert coarsen_curve(tied, 3).breakpoint_indices == (0, 3, 4, 6)
+
+    def test_near_coincident_abscissae(self):
+        x = np.array([0.0, 1.0, np.nextafter(1.0, 2.0), 2.0, 2.0, 4.0])
+        y = np.array([0.0, 0.5, 200.0, 201.0, 202.0, 260.0])
+        assert np.array_equal(chord_error_matrix(x, y),
+                              _reference_chord_error_matrix(x, y))

@@ -22,7 +22,12 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.equalization import equalization_transform, equalize_histogram
 from repro.core.histogram import Histogram, uniform_cumulative
-from repro.core.plc import PiecewiseLinearCurve, coarsen_curve
+from repro.core.plc import (
+    PiecewiseLinearCurve,
+    chord_error_matrix,
+    coarsen_curve,
+    segment_error,
+)
 from repro.core.transforms import (
     GrayscaleShiftTransform,
     GrayscaleSpreadTransform,
@@ -133,6 +138,68 @@ def test_plc_error_non_increasing_in_segment_count(curve):
 @settings(max_examples=40, deadline=None)
 def test_plc_of_monotone_curve_is_monotone(curve, n_segments):
     assert coarsen_curve(curve, n_segments).is_monotone()
+
+
+#: Monotone curves on non-integer abscissae: x steps in [0.5, 10] and y
+#: steps in [0, 10], so chord slopes stay within [0, 20].
+fractional_curves = st.tuples(
+    st.floats(-50.0, 50.0),
+    st.floats(0.0, 50.0),
+    st.lists(st.tuples(st.floats(0.5, 10.0), st.floats(0.0, 10.0)),
+             min_size=1, max_size=20),
+).map(lambda spec: PiecewiseLinearCurve(
+    tuple(spec[0] + np.cumsum([0.0] + [step[0] for step in spec[2]])),
+    tuple(spec[1] + np.cumsum([0.0] + [step[1] for step in spec[2]])),
+))
+
+
+def _round_off(curve: PiecewiseLinearCurve) -> float:
+    """Tolerance for the prefix-sum chord errors against the direct sums:
+    they cancel terms as large as ``n * (y^2 + slope^2 x^2)``."""
+    x, y = np.abs(curve.x), np.abs(curve.y)
+    magnitude = len(x) * (np.max(y) ** 2 + 20.0**2 * np.max(x) ** 2)
+    return 64 * np.finfo(np.float64).eps * magnitude
+
+
+@given(curve=fractional_curves)
+@settings(max_examples=60, deadline=None)
+def test_chord_error_matrix_matches_segment_error(curve):
+    matrix = chord_error_matrix(np.asarray(curve.x), np.asarray(curve.y))
+    n = curve.n_points
+    tolerance = _round_off(curve)
+    for i in range(n):
+        for j in range(n):
+            if i < j:
+                assert abs(matrix[i, j]
+                           - segment_error(curve.x, curve.y, i, j)) <= tolerance
+            else:
+                assert matrix[i, j] == 0.0
+
+
+@given(curve=fractional_curves, n_segments=st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_plc_matches_brute_force_dp_on_segment_error(curve, n_segments):
+    """Eq. (9) solved with the direct chord errors of ``segment_error``:
+    the best total over at most ``n_segments`` chords."""
+    n = curve.n_points
+    cost = np.full((n, n_segments + 1), np.inf)
+    cost[0, 0] = 0.0
+    for s in range(1, n_segments + 1):
+        for j in range(1, n):
+            cost[j, s] = min(cost[i, s - 1]
+                             + segment_error(curve.x, curve.y, i, j)
+                             for i in range(j))
+    best = float(np.min(cost[n - 1, 1:]))
+
+    coarse = coarsen_curve(curve, n_segments)
+    indices = coarse.breakpoint_indices
+    tolerance = n_segments * _round_off(curve)
+    assert indices[0] == 0 and indices[-1] == n - 1
+    assert len(indices) - 1 <= n_segments
+    assert abs(coarse.mean_squared_error * n - best) <= tolerance
+    achieved = sum(segment_error(curve.x, curve.y, start, end)
+                   for start, end in zip(indices, indices[1:]))
+    assert abs(achieved - best) <= tolerance
 
 
 # ----------------------------------------------------------------------- #
