@@ -240,18 +240,8 @@ class HEBSAlgorithm(CompensationAlgorithm):
     def at_backlight(self, image: Image, backlight_factor: float,
                      max_distortion: float | None = None,
                      ) -> CompensationResult:
-        if not 0.0 < backlight_factor <= 1.0:
-            raise ValueError(
-                f"backlight_factor must be in (0, 1], got {backlight_factor}")
-        # invert backlight_factor_for_range: beta = t(g_max/(L-1)) / t(1),
-        # so g_max = t^-1(beta * t(1)) — honours g_min and a leaky t_off
-        transmissivity = self.pipeline.power_model.panel.transmissivity
-        levels = self.pipeline.curve.levels
-        g_max = round(float(transmissivity.pixel_value(
-            backlight_factor * transmissivity.transmittance(1.0)))
-            * (levels - 1))
-        target_range = int(np.clip(g_max - self.pipeline.config.g_min,
-                                   1, levels - 1 - self.pipeline.config.g_min))
+        target_range = self.pipeline.range_for_backlight_factor(
+            backlight_factor)
         result = self.pipeline.process_with_range(
             image, target_range, max_distortion=max_distortion)
         return _wrap_hebs(result, self.name)

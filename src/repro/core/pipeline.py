@@ -19,6 +19,8 @@ distortion and the power accounting.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,6 +30,7 @@ from repro.core.equalization import GHEResult, equalize_histogram
 from repro.core.histogram import Histogram
 from repro.core.plc import (
     PiecewiseLinearCurve,
+    coarsen_through,
     coarsen_transform,
     kband_spreading_function,
 )
@@ -38,6 +41,19 @@ from repro.imaging.image import Image
 from repro.quality.distortion import DistortionMeasure, get_measure
 
 __all__ = ["HEBSConfig", "HEBSResult", "HEBSSolution", "HEBS"]
+
+#: Equalizers whose LUT is ``g_min + R * c(x)`` with ``c`` fixed by the
+#: histogram, so that one set of PLC breakpoints serves every range ``R``
+#: (see :meth:`HEBS.solve_range`).  ``bbhe`` rounds its split level per
+#: range and is not one of them.
+_RANGE_AFFINE_EQUALIZERS = frozenset({"ghe", "clipped"})
+
+#: Breakpoint sets a pipeline keeps, least recently used first.  A bisection
+#: probes one histogram about eight times and a stream session re-derives
+#: the histogram it has just solved, so a few entries cover the callers
+#: that share a pipeline.  An entry is the 2 KB histogram key and at most
+#: ``n_segments + 1`` indices.
+_BREAKPOINT_CAPACITY = 32
 
 
 @dataclass(frozen=True)
@@ -245,6 +261,10 @@ class HEBS:
             # deferred import: equalization_variants depends on core.equalization
             from repro.core.equalization_variants import get_equalizer
             self._equalizer = get_equalizer(self.config.equalization)
+        # PLC breakpoints by histogram counts: every range-affine solve of
+        # one histogram reuses them, whichever thread or caller solves it
+        self._breakpoints: OrderedDict[bytes, tuple[int, ...]] = OrderedDict()
+        self._breakpoints_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # step 1: distortion budget -> dynamic range -> backlight factor
@@ -274,6 +294,25 @@ class HEBS:
         beta = transmissivity.backlight_for_range(g_max, levels)
         return float(min(max(beta, 0.0), 1.0))
 
+    def range_for_backlight_factor(self, backlight_factor: float) -> int:
+        """The target range whose backlight factor is nearest a given one.
+
+        The inverse of :meth:`backlight_factor_for_range`: ``beta =
+        t(g_max / max_level) / t(1)``, so ``g_max = t^-1(beta * t(1))``,
+        rounded to a level.  It honours ``g_min`` and a leaky ``t_off``;
+        the range is clipped to ``[1, levels - 1 - g_min]``.
+        """
+        if not 0.0 < backlight_factor <= 1.0:
+            raise ValueError(
+                f"backlight_factor must be in (0, 1], got {backlight_factor}")
+        transmissivity = self.power_model.panel.transmissivity
+        levels = self.curve.levels
+        g_max = round(float(transmissivity.pixel_value(
+            backlight_factor * transmissivity.transmittance(1.0)))
+            * (levels - 1))
+        return int(np.clip(g_max - self.config.g_min,
+                           1, levels - 1 - self.config.g_min))
+
     # ------------------------------------------------------------------ #
     # steps 2-4
     # ------------------------------------------------------------------ #
@@ -285,6 +324,24 @@ class HEBS:
         that depends only on the histogram, not on the pixel layout.  Accepts
         a bare :class:`~repro.core.histogram.Histogram`, which is all the
         real-time flow of Fig. 4 needs.
+
+        The PLC breakpoints are solved once per histogram, not once per
+        range.  Eq. (7) is affine in ``R`` (``g_min + R * H(x) / N``), and
+        Eq. (9)'s chord errors ignore the shift and scale by ``R**2``, so
+        the optimal breakpoints are the same for every ``R``.  The DP runs
+        on the widest range, ``[g_min, levels - 1]``, and each range's curve
+        is that breakpoint list evaluated on its own LUT
+        (:func:`~repro.core.plc.coarsen_through`): the same ``x``, ``y``
+        and mean squared error as a DP at that range.  The breakpoints are
+        kept in a small LRU keyed by the histogram counts, so the curve is
+        a function of (histogram, range) whatever order ranges arrive in.
+        One caveat: where the DP faces an exact tie (sparse histograms), a
+        DP at another range can pick a different, equally good breakpoint
+        list.  With ``ghe`` the curve is still the same at every level, so
+        only the driver program differs; with ``clipped`` the LUT can also
+        differ by one gray level at some levels.  ``bbhe`` rounds its split
+        level per range, so its LUT is not affine in ``R`` and it runs the
+        DP for every range.
         """
         if isinstance(source, Histogram):
             histogram = source
@@ -310,7 +367,7 @@ class HEBS:
         ghe = self._equalizer(histogram, g_min, g_max)
 
         # step 3: piecewise linear coarsening
-        coarse = coarsen_transform(ghe.transform, self.config.n_segments)
+        coarse = self._coarsen(histogram, ghe)
         transform = kband_spreading_function(coarse, levels=levels)
 
         # step 4 (driver half): program the reference voltages (Eq. 10)
@@ -326,6 +383,30 @@ class HEBS:
             driver_program=program,
             max_distortion=max_distortion,
         )
+
+    def _coarsen(self, histogram: Histogram,
+                 ghe: GHEResult) -> PiecewiseLinearCurve:
+        """Step 3: the PLC curve of ``ghe``'s LUT (see :meth:`solve_range`)."""
+        n_segments = self.config.n_segments
+        if self.config.equalization not in _RANGE_AFFINE_EQUALIZERS:
+            return coarsen_transform(ghe.transform, n_segments)
+        key = histogram.counts.tobytes()
+        with self._breakpoints_lock:
+            indices = self._breakpoints.get(key)
+            if indices is not None:
+                self._breakpoints.move_to_end(key)
+        if indices is None:
+            top = histogram.levels - 1
+            widest = ghe if ghe.g_max == top else self._equalizer(
+                histogram, self.config.g_min, top)
+            indices = coarsen_transform(widest.transform,
+                                        n_segments).breakpoint_indices
+            with self._breakpoints_lock:
+                self._breakpoints[key] = indices
+                self._breakpoints.move_to_end(key)
+                while len(self._breakpoints) > _BREAKPOINT_CAPACITY:
+                    self._breakpoints.popitem(last=False)
+        return coarsen_through(ghe.transform, indices)
 
     def apply_solution(self, solution: HEBSSolution, image: Image) -> HEBSResult:
         """Replay a solved transformation onto an image (step 4).
@@ -397,6 +478,15 @@ class HEBS:
         found by bisection.  This is the offline/per-image variant implied by
         the per-image spread of the paper's Table 1, and it is what the
         Table-1 and comparison experiments use.
+
+        Every probe equalizes, coarsens, applies and measures, but the PLC
+        dynamic program runs once for the whole search: the first probe is
+        the widest range, and :meth:`solve_range` evaluates its breakpoints
+        on every later probe's LUT.  That is exact because Eq. (7) is affine
+        in ``R`` and Eq. (9)'s chord errors scale by ``R**2``; at an exact
+        DP tie (sparse histograms) the breakpoint list can differ from a
+        per-range DP's, with the same error (see :meth:`solve_range`).
+        ``bbhe`` is not affine in ``R`` and still runs the DP per probe.
 
         Parameters
         ----------

@@ -34,6 +34,7 @@ __all__ = [
     "chord_error_matrix",
     "coarsen_curve",
     "coarsen_transform",
+    "coarsen_through",
     "kband_spreading_function",
 ]
 
@@ -107,8 +108,14 @@ class PiecewiseLinearCurve:
         """
         n = lut.levels if levels is None else levels
         x = np.arange(n, dtype=np.float64)
-        y = np.asarray(lut.table, dtype=np.float64) * (n - 1)
+        y = _lut_ordinates(lut, n)
         return cls(tuple(x), tuple(y), 0.0, tuple(range(n)))
+
+
+def _lut_ordinates(lut: LUTTransform, levels: int) -> np.ndarray:
+    """A LUT's outputs scaled to grayscale levels (the ``y`` of Eq. 8's
+    ``P``)."""
+    return np.asarray(lut.table, dtype=np.float64) * (levels - 1)
 
 
 def segment_error(x: Sequence[float], y: Sequence[float], start: int,
@@ -150,6 +157,14 @@ class _AbscissaTerms(NamedTuple):
     adjacent: np.ndarray
     lower: np.ndarray
 
+    def along(self, path: np.ndarray) -> "_AbscissaTerms":
+        """The same terms for the chords between consecutive entries of
+        ``path`` (increasing breakpoint indices) only, in path order."""
+        i, j = path[:-1], path[1:]
+        # position of the pair (i, j) in row-major order over i < j
+        pair = i * self.n - i * (i + 1) // 2 + (j - i - 1)
+        return _AbscissaTerms(self.n, *(field[pair] for field in self[1:]))
+
 
 @lru_cache(maxsize=4)
 def _abscissa_terms(abscissa: bytes) -> _AbscissaTerms:
@@ -184,11 +199,20 @@ def _prefix_sums(values: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(values)])
 
 
-def _pair_errors(x: np.ndarray, y: np.ndarray
+def _pair_errors(x: np.ndarray, y: np.ndarray,
+                 path: np.ndarray | None = None
                  ) -> tuple[_AbscissaTerms, np.ndarray]:
     """Chord errors of every pair ``i < j`` (in :class:`_AbscissaTerms`
-    order), with the x-only terms they were computed from."""
+    order), with the x-only terms they were computed from.
+
+    With ``path`` (increasing breakpoint indices), only the chords between
+    its consecutive entries, in path order.  Each error is computed by the
+    same element-wise arithmetic either way, so a chord's error along a
+    path equals its entry in the full set bit for bit.
+    """
     terms = _abscissa_terms(x.tobytes())
+    if path is not None:
+        terms = terms.along(path)
     i, j1 = terms.i, terms.j + 1
     prefix_y = _prefix_sums(y)
     prefix_yy = _prefix_sums(y * y)
@@ -257,16 +281,35 @@ def coarsen_curve(curve: PiecewiseLinearCurve, n_segments: int
     steps each scan it.  The ``x``-only terms come from a cache keyed by the
     abscissa (see :func:`chord_error_matrix`), so repeated coarsenings of
     LUTs with one bit depth compute them once per process.
+
+    The selected breakpoints do not change when ``y`` is shifted or scaled:
+    a shift cancels in every chord error and a scale ``R`` multiplies them
+    all by ``R**2``.  An equalization LUT ``g_min + R * H(x) / N`` (Eq. 7)
+    therefore has the same optimal breakpoints for every range ``R``, which
+    :meth:`repro.core.pipeline.HEBS.solve_range` exploits: it runs this DP
+    once per histogram and re-evaluates the breakpoints with
+    :func:`coarsen_through` for each range.  That holds for exact optima;
+    where the DP faces an exact tie (sparse histograms, whose LUTs have
+    long flat runs), round-off can make it pick another, equally good
+    breakpoint list at another ``R``.  For plain GHE the two curves still
+    agree at every level, so only the driver program differs; for the
+    clipped equalizer they can differ by one gray level at some levels.
+    The equalizers whose LUT is not affine in ``R`` (``bbhe`` rounds its
+    split level per range) are not covered and run the DP per range.
     """
     if n_segments < 1:
         raise ValueError("need at least one segment")
-    x = np.asarray(curve.x, dtype=np.float64)
-    y = np.asarray(curve.y, dtype=np.float64)
+    return _coarsen(np.asarray(curve.x, dtype=np.float64),
+                    np.asarray(curve.y, dtype=np.float64), n_segments)
+
+
+def _coarsen(x: np.ndarray, y: np.ndarray, n_segments: int
+             ) -> PiecewiseLinearCurve:
+    """The DP of :func:`coarsen_curve` on breakpoint arrays."""
     n = x.size
     if n_segments >= n - 1:
         # The curve already has at most the requested number of segments.
-        return PiecewiseLinearCurve(curve.x, curve.y, 0.0,
-                                    tuple(range(n)))
+        return _curve_through(x, y, np.arange(n), 0.0)
 
     # chords[j, i]: error of the chord i -> j, infinite unless i < j (only
     # forward chords are allowed).  Stored with the end point as the row so
@@ -307,21 +350,61 @@ def coarsen_curve(curve: PiecewiseLinearCurve, n_segments: int
         indices.append(node)
         s -= 1
     indices.reverse()
+    return _curve_through(x, y, np.array(indices), total_error)
 
-    selected_x = tuple(float(x[i]) for i in indices)
-    selected_y = tuple(float(y[i]) for i in indices)
+
+def _curve_through(x: np.ndarray, y: np.ndarray, indices: np.ndarray,
+                   total_error: float) -> PiecewiseLinearCurve:
+    """The curve through breakpoints ``indices`` of ``(x, y)`` whose summed
+    squared error is ``total_error``."""
     return PiecewiseLinearCurve(
-        selected_x,
-        selected_y,
-        mean_squared_error=float(total_error) / n,
-        breakpoint_indices=tuple(indices),
+        tuple(float(x[i]) for i in indices),
+        tuple(float(y[i]) for i in indices),
+        mean_squared_error=total_error / x.size,
+        breakpoint_indices=tuple(int(i) for i in indices),
     )
 
 
 def coarsen_transform(transform: LUTTransform, n_segments: int
                       ) -> PiecewiseLinearCurve:
-    """Coarsen an exact GHE LUT transform directly (convenience wrapper)."""
-    return coarsen_curve(PiecewiseLinearCurve.from_lut(transform), n_segments)
+    """Coarsen an exact GHE LUT transform directly.
+
+    Equal to ``coarsen_curve(PiecewiseLinearCurve.from_lut(transform),
+    n_segments)``, without the curve's round trip through tuples.
+    """
+    if n_segments < 1:
+        raise ValueError("need at least one segment")
+    n = transform.levels
+    return _coarsen(np.arange(n, dtype=np.float64),
+                    _lut_ordinates(transform, n), n_segments)
+
+
+def coarsen_through(transform: LUTTransform,
+                    breakpoint_indices: Sequence[int]) -> PiecewiseLinearCurve:
+    """The coarsening of a LUT through given breakpoints, without the DP.
+
+    Returns the curve :func:`coarsen_transform` returns when its DP selects
+    ``breakpoint_indices`` (increasing, from the first level to the last):
+    the same ``x``, ``y`` and breakpoint indices, and the same mean squared
+    error, because each chord's error comes from the DP's own formula and
+    the errors are summed chord by chord in the DP's order.  ``O(levels)``
+    instead of the DP's ``O(m levels^2)``.
+    """
+    n = transform.levels
+    path = np.asarray(breakpoint_indices, dtype=np.int64)
+    if path.ndim != 1 or path.size < 2 or path[0] != 0 or path[-1] != n - 1 \
+            or np.any(np.diff(path) <= 0):
+        raise ValueError(
+            f"breakpoint indices must increase from 0 to {n - 1}, "
+            f"got {tuple(breakpoint_indices)}")
+    x = np.arange(n, dtype=np.float64)
+    y = _lut_ordinates(transform, n)
+    _, errors = _pair_errors(x, y, path)
+    total_error = 0.0
+    for error in errors:
+        # the DP's accumulation: cost[s] = chord + cost[s - 1]
+        total_error = float(error) + total_error
+    return _curve_through(x, y, path, total_error)
 
 
 def kband_spreading_function(curve: PiecewiseLinearCurve,

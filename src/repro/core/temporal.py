@@ -261,8 +261,7 @@ class TemporalBacklightController:
         # the backlight dimmer (slewing towards a brighter scene) the budget
         # may transiently be exceeded — the flicker constraint wins, which is
         # the whole point of smoothing.
-        levels = grayscale.levels
-        target_range = int(np.clip(round(applied * (levels - 1)), 1, levels - 1))
+        target_range = self.pipeline.range_for_backlight_factor(applied)
         adjusted = self.pipeline.process_with_range(grayscale, target_range,
                                                     max_distortion=self.max_distortion)
 

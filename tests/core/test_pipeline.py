@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import HEBS, HEBSConfig
+from repro.display.panel import PanelModel, TransmissivityModel
 from repro.display.power import DisplayPowerModel
 from repro.quality.distortion import get_measure
 
@@ -42,6 +43,26 @@ class TestRangeAndBacklightSelection:
     def test_backlight_factor_range_validation(self, pipeline):
         with pytest.raises(ValueError, match="target range"):
             pipeline.backlight_factor_for_range(300)
+
+    @pytest.mark.parametrize("t_off", [0.0, 0.1])
+    @pytest.mark.parametrize("g_min", [0, 16])
+    def test_range_for_backlight_factor_inverts_it(self, characteristic_curve,
+                                                   g_min, t_off):
+        panel = PanelModel(transmissivity=TransmissivityModel(t_off=t_off))
+        hebs = HEBS(characteristic_curve, HEBSConfig(g_min=g_min),
+                    DisplayPowerModel(panel=panel))
+        for target_range in range(1, 256 - g_min):
+            beta = hebs.backlight_factor_for_range(target_range)
+            assert hebs.range_for_backlight_factor(beta) == target_range
+
+    def test_range_for_backlight_factor_clips_and_validates(
+            self, characteristic_curve):
+        hebs = HEBS(characteristic_curve, HEBSConfig(g_min=16))
+        assert hebs.range_for_backlight_factor(1e-3) == 1
+        assert hebs.range_for_backlight_factor(1.0) == 255 - 16
+        for beta in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="backlight_factor"):
+                hebs.range_for_backlight_factor(beta)
 
 
 class TestProcessWithRange:

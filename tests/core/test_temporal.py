@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core.pipeline import HEBS, HEBSConfig
 from repro.core.temporal import (
     BacklightSmoother,
     RollingHistogram,
     SceneChangeDetector,
     TemporalBacklightController,
 )
+from repro.display.panel import PanelModel, TransmissivityModel
+from repro.display.power import DisplayPowerModel
 from repro.imaging.image import Image
 
 
@@ -190,6 +193,39 @@ class TestTemporalBacklightController:
     def test_validation(self, pipeline):
         with pytest.raises(ValueError, match="non-negative"):
             TemporalBacklightController(pipeline, max_distortion=-1.0)
+
+    def test_default_panel_maps_the_factor_to_the_nearest_level(self,
+                                                                pipeline):
+        controller = TemporalBacklightController(pipeline, max_distortion=15.0)
+        for frame in make_clip():
+            outcome = controller.submit(frame)
+            applied = controller.smoother.current
+            assert outcome.result.target_range == int(
+                np.clip(round(applied * 255), 1, 255))
+
+    def test_g_min_offsets_the_range(self, characteristic_curve, lena, pout):
+        hebs = HEBS(characteristic_curve, HEBSConfig(g_min=16))
+        controller = TemporalBacklightController(hebs, max_distortion=10.0)
+        for frame in (lena, lena, pout):
+            outcome = controller.submit(frame)
+            assert 1 <= outcome.result.target_range <= 255 - 16
+            # the nearest level to the smoothed factor: half a level off
+            assert abs(outcome.applied_backlight
+                       - controller.smoother.current) <= 0.5 / 255 + 1e-12
+
+    def test_leaky_panel_reports_the_smoothed_factor(self,
+                                                     characteristic_curve,
+                                                     lena, pout):
+        leaky = TransmissivityModel(t_off=0.1)
+        hebs = HEBS(characteristic_curve, power_model=DisplayPowerModel(
+            panel=PanelModel(transmissivity=leaky)))
+        controller = TemporalBacklightController(hebs, max_distortion=10.0)
+        # beta moves by (t_on - t_off) / 255 / t_on per level
+        half_level = 0.5 * (leaky.t_on - leaky.t_off) / 255 / leaky.t_on
+        for frame in (lena, lena, lena, pout, pout):
+            outcome = controller.submit(frame)
+            assert abs(outcome.applied_backlight
+                       - controller.smoother.current) <= half_level + 1e-12
 
 
 class TestDataclassHygiene:

@@ -22,10 +22,12 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.equalization import equalization_transform, equalize_histogram
 from repro.core.histogram import Histogram, uniform_cumulative
+from repro.core.pipeline import HEBS, HEBSConfig
 from repro.core.plc import (
     PiecewiseLinearCurve,
     chord_error_matrix,
     coarsen_curve,
+    coarsen_transform,
     segment_error,
 )
 from repro.core.transforms import (
@@ -200,6 +202,44 @@ def test_plc_matches_brute_force_dp_on_segment_error(curve, n_segments):
     achieved = sum(segment_error(curve.x, curve.y, start, end)
                    for start, end in zip(indices, indices[1:]))
     assert abs(achieved - best) <= tolerance
+
+
+#: 256-level histograms with 2 to 40 occupied levels: their equalization
+#: LUTs are staircases with long flat runs, where the PLC faces exact ties.
+sparse_histograms = st.integers(2, 40).flatmap(lambda occupied: st.tuples(
+    st.lists(st.integers(0, 255), min_size=occupied, max_size=occupied,
+             unique=True),
+    st.lists(st.integers(1, 1000), min_size=occupied, max_size=occupied),
+)).map(lambda spec: Histogram(np.bincount(spec[0], weights=spec[1],
+                                          minlength=256).astype(np.int64)))
+
+
+@given(histogram=sparse_histograms, data=st.data(),
+       equalization=st.sampled_from(["ghe", "clipped"]),
+       g_min=st.sampled_from([0, 16]), n_segments=st.sampled_from([4, 8]))
+@settings(max_examples=60, deadline=None)
+def test_reused_breakpoints_are_optimal_at_every_range(
+        characteristic_curve, histogram, data, equalization, g_min,
+        n_segments):
+    """The breakpoints solved on the widest range are optimal at any range.
+
+    At an exact tie the per-range DP may pick another breakpoint list, so
+    only the errors are compared.  Every chord error cancels sums as large
+    as ``levels * (levels - 1)**2`` (both ``sum a_k^2`` and
+    ``slope^2 sum b_k^2``, because a chord rises by at most ``levels - 1``),
+    and each of the two totals sums at most ``n_segments`` of them.
+    """
+    hebs = HEBS(characteristic_curve,
+                HEBSConfig(n_segments=n_segments, g_min=g_min,
+                           equalization=equalization))
+    levels = histogram.levels
+    target_range = data.draw(st.integers(1, levels - 1 - g_min))
+    solution = hebs.solve_range(histogram, target_range)
+    optimum = coarsen_transform(solution.ghe.transform, n_segments)
+    tolerance = (2 * n_segments * 64 * np.finfo(np.float64).eps
+                 * levels * (levels - 1) ** 2)
+    assert abs(solution.coarse_curve.mean_squared_error
+               - optimum.mean_squared_error) * levels <= tolerance
 
 
 # ----------------------------------------------------------------------- #
