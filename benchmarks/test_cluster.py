@@ -105,8 +105,7 @@ def start_cluster(pipeline, count: int, *, paced: bool):
     shards = []
     for _ in range(count):
         server = Server(engine=Engine(algorithm(pipeline)),
-                        workers=SHARD_WORKERS, max_batch=8,
-                        max_delay=0.001)
+                        workers=SHARD_WORKERS, max_batch=8)
         network = NetworkServer(server)
         network.start()
         shards.append(network)

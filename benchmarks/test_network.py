@@ -61,7 +61,7 @@ def test_solve_rpc_at_least_2x_process_rpc(pipeline):
     workload = repeated_workload(repeats=WORKLOAD_REPEATS)
 
     server = Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=4,
-                    max_batch=32, max_delay=0.002)
+                    max_batch=32)
     network = NetworkServer(server)
     host, port = network.start()
     try:
@@ -139,7 +139,7 @@ def test_protocol_v2_shrinks_the_wire_without_costing_latency(pipeline,
 
     image = suite["baboon"]
     server = Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=4,
-                    max_batch=32, max_delay=0.002)
+                    max_batch=32)
     network = NetworkServer(server)
     host, port = network.start()
 

@@ -128,7 +128,7 @@ def test_oled_outputs_bit_identical_across_the_serving_stack(suite):
             for got, want in zip(results, expected))
         lanes[lane] = {"frames": len(frames), "bit_identical": identical}
 
-    server = Server(engine=Engine(), workers=2, max_delay=0.002)
+    server = Server(engine=Engine(), workers=2)
     network = NetworkServer(server)
     host, port = network.start()
     try:
@@ -144,8 +144,7 @@ def test_oled_outputs_bit_identical_across_the_serving_stack(suite):
 
     shards = []
     for _ in range(2):
-        shard = NetworkServer(Server(engine=Engine(), workers=2,
-                                     max_delay=0.002))
+        shard = NetworkServer(Server(engine=Engine(), workers=2))
         shard.start()
         shards.append(shard)
     router = ClusterRouter([f"{h}:{p}"
@@ -185,8 +184,7 @@ def test_mixed_cluster_has_zero_cross_class_cache_leakage():
 
     shards = []
     for _ in range(2):
-        shard = NetworkServer(Server(engine=Engine(), workers=2,
-                                     max_delay=0.002))
+        shard = NetworkServer(Server(engine=Engine(), workers=2))
         shard.start()
         shards.append(shard)
     router = ClusterRouter([f"{h}:{p}"

@@ -2,7 +2,7 @@
 
 The serving claim of :mod:`repro.serve`: N concurrent clients requesting
 compensation for duplicate-heavy content must cost one solve per distinct
-histogram per tick, not N solves.  The benchmark times the serial baseline
+histogram, not N solves.  The benchmark times the serial baseline
 (N independent :meth:`~repro.api.engine.Engine.process` calls with no cache
 and no coalescing — the pre-serving calling convention) against the same
 workload submitted concurrently to a :class:`~repro.serve.Server`, asserts
@@ -48,7 +48,7 @@ def test_coalescer_beats_serial_process_calls(pipeline):
 
     # served path: concurrent submits, micro-batched, cache-accelerated
     server = Server(engine=Engine(HEBSAlgorithm(pipeline, adaptive=True)),
-                    workers=4, max_batch=32, max_delay=0.005)
+                    workers=4, max_batch=32)
     with server:
         start = time.perf_counter()
         futures = [server.submit(image, BUDGET) for image in workload]

@@ -2,11 +2,11 @@
 
 The multi-stream serving claim of :mod:`repro.serve`: when N video clients
 each push frames through their own :class:`~repro.api.session.StreamSession`
-on one server, frames from different sessions interleave into shared
-``process_batch`` ticks and similar content across sessions shares one solve
-through the engine cache — so the wall time beats running the same sessions
-one after another (the pre-session calling convention: one engine stream at
-a time, nothing shared).  The benchmark asserts the served path is at least
+on one server, frames from different sessions share its worker pool (and,
+under load, ``process_batch`` calls) and similar content across sessions
+shares one solve through the engine cache — so the wall time beats running
+the same sessions one after another (the pre-session calling convention:
+one engine stream at a time, nothing shared).  The benchmark asserts the served path is at least
 2x faster with every session's applied backlight honoring its smoother's
 ``max_step`` on every frame, and emits the measured multi-stream throughput
 and per-session p95 frame latency as ``BENCH_sessions.json`` so CI
@@ -62,7 +62,7 @@ def test_concurrent_sessions_beat_serial_sessions(pipeline, suite):
     # served path: 8 concurrent sessions through one server, frames
     # interleaved into shared micro-batches over one cached engine
     server = Server(engine=Engine(HEBSAlgorithm(pipeline, adaptive=True)),
-                    workers=4, max_batch=32, max_delay=0.005)
+                    workers=4, max_batch=32)
     with server:
         report = run_stream_load(server, clips, BUDGET,
                                  result_timeout=120.0,

@@ -10,9 +10,10 @@ one device with picture-in-picture) sharing a compensation service:
    :class:`repro.serve.Server` (``server.open_session``) with its own
    smoother, and pushes frames one at a time the way a decoder paces a
    display;
-2. the server interleaves frames from all sessions (plus any one-shot
-   traffic) into shared micro-batches, so similar content across streams
-   pays one solve through the engine's histogram-keyed cache;
+2. the server runs frames from all sessions (plus any one-shot traffic)
+   on one worker pool, batching what queues while every worker is busy,
+   so similar content across streams pays one solve through the engine's
+   histogram-keyed cache;
 3. each session's temporal state stays private: the per-stream backlight
    traces are verified against the flicker bound at the end, and the
    per-session latency stats come out of ``server.stats()``.
@@ -62,7 +63,7 @@ def main(argv: list[str]) -> None:
 
     # --- the server: shared engine, shared cache, shared micro-batches ----
     engine = default_engine(algorithm="hebs-adaptive", signature_bins=8)
-    with Server(engine=engine, workers=4, max_delay=0.005) as server:
+    with Server(engine=engine, workers=4) as server:
         started = time.perf_counter()
         report = run_stream_load(
             server, clips, BUDGET,
@@ -78,7 +79,7 @@ def main(argv: list[str]) -> None:
         stats = report.stats
         print(f"engine batches: {stats.batches} "
               f"(mean {stats.mean_batch_size:.2f} frames/batch — "
-              f"different sessions share ticks)")
+              f"different sessions share batches under load)")
         print(f"cache: {100 * stats.cache.hit_rate:.0f}% hit rate, "
               f"{100 * stats.cache.reuse_rate:.0f}% of frames reused a "
               f"solution")

@@ -152,10 +152,10 @@ class SolutionCache:
     def peek(self, key: object, touch: bool = True):
         """The cached solution for ``key`` without hit/miss accounting.
 
-        Used by the engine's double-checked solve path: after losing a solve
-        race the winner's entry is already present, and the re-check must not
-        count a second probe.  ``touch`` refreshes the entry's LRU recency
-        (the reuse is real even if the probe is not counted).
+        Used by the engine's unlocked first probe, which counts a hit with
+        :meth:`note_hit` and leaves a miss to its re-probe under the solve
+        lock (where a thread that lost a solve race finds the winner's
+        entry).  ``touch`` refreshes the entry's LRU recency.
         """
         with self._lock:
             value = self._entries.get(key)
@@ -175,7 +175,7 @@ class SolutionCache:
 
     def note_hit(self, count: int = 1) -> None:
         """Record ``count`` cache hits that bypassed :meth:`get` (e.g. a
-        double-checked :meth:`peek` that found the entry)."""
+        :meth:`peek` that found the entry)."""
         if count < 0:
             raise ValueError("count must be non-negative")
         with self._lock:

@@ -90,7 +90,8 @@ class Engine:
     serialized per algorithm instance (the underlying pipelines were written
     single-threaded).  Concurrent threads that race on the same cold
     histogram coalesce onto one solve via a double-checked re-probe, so a
-    thundering herd pays one derivation, not N.
+    thundering herd pays one derivation, not N, and counts one cache miss:
+    the threads that waited for the winner count a hit.
     """
 
     def __init__(self, algorithm: str | CompensationAlgorithm = "hebs", *,
@@ -223,6 +224,32 @@ class Engine:
         solution, _ = self._solve(algo, grayscale, max_distortion)
         return solution
 
+    def cached_solution(self, histogram: Histogram, max_distortion: float,
+                        algorithm: str | None = None,
+                        ) -> CompensationSolution | None:
+        """The cached solution ``solve(histogram, ...)`` would return, or
+        ``None``.
+
+        Never solves and never instantiates an algorithm (a name this
+        engine has not resolved yet reads as a miss), so it cannot block
+        for long: the network server answers a warm ``solve`` RPC with it
+        on its event loop and sends only misses to its solve executor.  A
+        hit counts as a cache hit; a miss counts nothing, because the
+        :meth:`solve` that follows it counts the probe.
+        """
+        if self._cache is None or max_distortion < 0:
+            return None
+        with self._lock:
+            algo = self._algorithms.get(
+                self.default_algorithm if algorithm is None else algorithm)
+        if algo is None:
+            return None
+        solution = self._cache.peek(
+            self._cache_key(algo, histogram, max_distortion))
+        if solution is not None:
+            self._cache.note_hit()
+        return solution
+
     def prime(self, image: Image, max_distortion: float,
               algorithm: str | CompensationAlgorithm | None = None) -> bool:
         """Solve ``image``'s histogram into the cache without applying.
@@ -301,16 +328,17 @@ class Engine:
         if self._cache is None:
             with self._solve_lock(algorithm):
                 return algorithm.solve(grayscale, max_distortion), False
-        solution = self._cache.get(key)
+        # the unlocked probe counts only a hit.  A thread that finds nothing
+        # re-probes under the solve lock, where a thread that lost a race on
+        # the same histogram finds the winner's entry (its hit), so every
+        # request counts one probe and the misses count the solves.
+        solution = self._cache.peek(key)
         if solution is not None:
+            self._cache.note_hit()
             return solution, True
         with self._solve_lock(algorithm):
-            # double check: a thread racing on the same histogram may have
-            # solved while we waited for the lock.  peek + note_hit keeps
-            # the probe accounting exact (one miss above, one hit here).
-            solution = self._cache.peek(key)
+            solution = self._cache.get(key)
             if solution is not None:
-                self._cache.note_hit()
                 return solution, True
             solution = algorithm.solve(grayscale, max_distortion)
             self._cache.put(key, solution)

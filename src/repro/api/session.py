@@ -35,7 +35,7 @@ The per-frame work is additionally split into three phases —
 :meth:`StreamSession.begin` / :meth:`StreamSession.compute` /
 :meth:`StreamSession.complete` — so a serving layer can interleave frames
 from many sessions into one shared
-:meth:`~repro.api.engine.Engine.process_batch` tick (see
+:meth:`~repro.api.engine.Engine.process_batch` call (see
 :mod:`repro.serve`): ``begin`` observes the frame and decides whether a solve
 is needed, the raw per-frame result is then produced either by ``compute``
 or by an external batch, and ``complete`` runs the temporal filtering.

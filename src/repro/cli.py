@@ -351,8 +351,7 @@ def _build_server(args: argparse.Namespace, algorithm: str | None = None):
 
     engine = default_engine(algorithm=algorithm or args.algorithm)
     return Server(engine=engine, workers=args.workers,
-                  max_batch=args.max_batch, max_delay=args.max_delay / 1e3,
-                  max_pending=args.max_pending,
+                  max_batch=args.max_batch, max_pending=args.max_pending,
                   max_sessions=args.max_sessions,
                   session_ttl=args.session_ttl)
 
@@ -641,11 +640,12 @@ def build_parser() -> argparse.ArgumentParser:
                                       "a mixed display-class workload, "
                                       "e.g. hebs,oled-darken")
     serving_options.add_argument("--workers", type=int, default=4,
-                                 help="worker threads executing micro-batches")
+                                 help="worker threads; an idle worker takes "
+                                      "a request at once")
     serving_options.add_argument("--max-batch", type=int, default=32,
-                                 help="largest coalesced micro-batch")
-    serving_options.add_argument("--max-delay", type=float, default=2.0,
-                                 help="micro-batching window in milliseconds")
+                                 help="largest micro-batch, formed from "
+                                      "requests that queue while every "
+                                      "worker is busy")
     serving_options.add_argument("--max-pending", type=int, default=1024,
                                  help="request queue bound (backpressure past "
                                       "it)")

@@ -26,7 +26,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.distortion_curve import DistortionCharacteristicCurve
-from repro.core.equalization import GHEResult, equalize_histogram
+from repro.core.equalization import (
+    GHEResult,
+    equalization_objective,
+    equalize_histogram,
+)
 from repro.core.histogram import Histogram
 from repro.core.plc import (
     PiecewiseLinearCurve,
@@ -34,7 +38,7 @@ from repro.core.plc import (
     coarsen_transform,
     kband_spreading_function,
 )
-from repro.core.transforms import PiecewiseLinearTransform
+from repro.core.transforms import LUTTransform, PiecewiseLinearTransform
 from repro.display.driver import DriverProgram, HierarchicalDriver
 from repro.display.power import DisplayPowerModel, PowerBreakdown
 from repro.imaging.image import Image
@@ -384,6 +388,44 @@ class HEBS:
             max_distortion=max_distortion,
         )
 
+    def identity_solution(self, source: Image | Histogram,
+                          max_distortion: float | None = None,
+                          ) -> HEBSSolution:
+        """The do-nothing solution: the identity LUT at full backlight.
+
+        ``beta = 1`` with the identity keeps any budget (the image is shown
+        unchanged: zero distortion, zero saving).  :meth:`process_adaptive`
+        falls back to it when even the full range exceeds the budget, as
+        :meth:`ContentDarkener.solve <repro.core.darken.ContentDarkener.solve>`
+        does for emissive panels.  ``target_range`` is the full range
+        ``levels - 1 - g_min``, whose backlight factor is 1.
+        """
+        if isinstance(source, Histogram):
+            histogram = source
+        else:
+            histogram = Histogram.of_image(source.to_grayscale())
+        top = histogram.levels - 1
+        identity = GHEResult(
+            transform=LUTTransform(tuple(
+                float(v) for v in np.linspace(0.0, 1.0, histogram.levels))),
+            g_min=0,
+            g_max=top,
+            objective=equalization_objective(histogram.cumulative(), 0, top),
+            source_histogram=histogram,
+        )
+        curve = PiecewiseLinearCurve((0.0, float(top)), (0.0, float(top)))
+        return HEBSSolution(
+            target_range=top - self.config.g_min,
+            backlight_factor=1.0,
+            ghe=identity,
+            coarse_curve=curve,
+            transform=kband_spreading_function(curve,
+                                               levels=histogram.levels),
+            driver_program=self.driver.program(
+                np.asarray(curve.x), np.asarray(curve.y), 1.0),
+            max_distortion=max_distortion,
+        )
+
     def _coarsen(self, histogram: Histogram,
                  ghe: GHEResult) -> PiecewiseLinearCurve:
         """Step 3: the PLC curve of ``ghe``'s LUT (see :meth:`solve_range`)."""
@@ -503,10 +545,10 @@ class HEBS:
         HEBSResult
             The result at the selected dynamic range.  If even the full
             range exceeds the budget (pathological images under a very tight
-            budget) the full-range result is returned, and it is over
             budget: equalizing onto ``[g_min, levels - 1]`` is not the
-            identity, so this fallback can violate a budget that ``beta = 1``
-            with the identity LUT would have kept (see ROADMAP.md, open item 5).
+            identity), the result of :meth:`identity_solution` instead: the
+            image unchanged at ``beta = 1``, its distortion measured on the
+            image (0 for the default measure) and zero saving.
         """
         if max_distortion < 0:
             raise ValueError("max_distortion must be non-negative")
@@ -518,7 +560,9 @@ class HEBS:
         full_result = self.process_with_range(image, full_range,
                                               max_distortion=max_distortion)
         if full_result.distortion > max_distortion:
-            return full_result
+            grayscale = image.to_grayscale()
+            return self.apply_solution(
+                self.identity_solution(grayscale, max_distortion), grayscale)
 
         low = 1                      # known (or assumed) infeasible
         high = full_range            # known feasible

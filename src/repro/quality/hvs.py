@@ -33,30 +33,30 @@ __all__ = ["HVSModel", "perceptual_weight_map"]
 
 
 def _box_blur(values: np.ndarray, radius: int) -> np.ndarray:
-    """Separable box blur with edge replication (no external dependencies)."""
+    """Separable box blur with edge replication (no external dependencies).
+
+    Each pass is a running sum over the edge-padded axis: the window sum at
+    ``j`` is ``csum[j + 2 * radius] - csum[j - 1]``, where the first window
+    has no prefix to subtract.  The horizontal pass runs on the unpadded
+    rows only; the vertical pass pads what it returns.
+    """
     if radius <= 0:
         return values.copy()
     kernel = 2 * radius + 1
-    padded = np.pad(values, radius, mode="edge")
     # horizontal pass via cumulative sums
-    csum = np.cumsum(padded, axis=1)
-    horizontal = np.empty_like(values, dtype=np.float64)
-    horizontal = (
-        csum[:, kernel - 1:]
-        - np.concatenate(
-            [np.zeros((csum.shape[0], 1)), csum[:, :-kernel]], axis=1
-        )
-    ) / kernel
-    horizontal = horizontal[radius:-radius, :] if radius else horizontal
+    csum = np.cumsum(np.pad(values, ((0, 0), (radius, radius)), mode="edge"),
+                     axis=1)
+    horizontal = np.empty(values.shape, dtype=np.float64)
+    horizontal[:, 0] = csum[:, kernel - 1] - 0.0
+    np.subtract(csum[:, kernel:], csum[:, :-kernel], out=horizontal[:, 1:])
+    horizontal /= kernel
     # vertical pass
-    padded_v = np.pad(horizontal, ((radius, radius), (0, 0)), mode="edge")
-    csum_v = np.cumsum(padded_v, axis=0)
-    vertical = (
-        csum_v[kernel - 1:, :]
-        - np.concatenate(
-            [np.zeros((1, csum_v.shape[1])), csum_v[:-kernel, :]], axis=0
-        )
-    ) / kernel
+    csum = np.cumsum(np.pad(horizontal, ((radius, radius), (0, 0)),
+                            mode="edge"), axis=0)
+    vertical = np.empty(values.shape, dtype=np.float64)
+    vertical[0] = csum[kernel - 1] - 0.0
+    np.subtract(csum[kernel:], csum[:-kernel], out=vertical[1:])
+    vertical /= kernel
     return vertical
 
 

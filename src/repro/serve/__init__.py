@@ -5,10 +5,11 @@ cheap per-pixel LUTs — exactly the shape that parallelizes.  This package
 turns the (thread-safe) :class:`~repro.api.engine.Engine` into a service:
 
 :mod:`repro.serve.coalescer`
-    :class:`RequestCoalescer` — micro-batching: concurrent ``submit()``
-    calls (and stream-session frames, via ``submit_frame``) gather into one
-    ``process_batch`` per tick, with a bounded queue and submit timeouts
-    for backpressure
+    :class:`RequestCoalescer` — work-conserving micro-batching: an idle
+    worker takes a ``submit()`` (or a stream-session frame, via
+    ``submit_frame``) at once, and what queues while every worker is busy
+    is claimed as one ``process_batch``, with a bounded queue and submit
+    timeouts for backpressure
     (:class:`ServerOverloadedError` / :class:`ServerClosedError`).
 :mod:`repro.serve.server`
     :class:`Server` — the worker-pool front end with corpus warm-up and a
@@ -46,7 +47,7 @@ turns the (thread-safe) :class:`~repro.api.engine.Engine` into a service:
     unlink-on-disconnect.
 :mod:`repro.serve.net`
     :class:`NetworkServer` — the asyncio TCP front end multiplexing many
-    connections onto the shared micro-batch ticks (``repro serve --host
+    connections onto the shared worker pool (``repro serve --host
     --port``); :mod:`repro.client` is the SDK on the other end.
 
 Quickstart::

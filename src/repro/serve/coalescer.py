@@ -1,20 +1,24 @@
-"""Micro-batching request coalescer: N concurrent submits, one solve.
+"""Work-conserving micro-batching: N concurrent submits, one solve.
 
 The paper's real-time flow (Fig. 4) solves once per *histogram* and replays
 cheap per-pixel LUTs — so when N clients concurrently request compensation
-for similar content, the right unit of work is one
-:meth:`~repro.api.engine.Engine.process_batch` per tick, not N independent
-:meth:`~repro.api.engine.Engine.process` calls.  :class:`RequestCoalescer`
-implements that gather:
+for similar content, they should share one solve, not pay N.
+:class:`RequestCoalescer` serves them from a pool of worker threads:
 
 * :meth:`RequestCoalescer.submit` enqueues a request and returns a
   :class:`concurrent.futures.Future` immediately.
-* Worker threads claim micro-batches: the first pending request opens a
-  batching window of ``max_delay`` seconds (or until ``max_batch`` requests
-  accumulate), so bursts coalesce while a lone request is barely delayed.
+* Dispatch is work-conserving: an idle worker takes a pending request at
+  once, together with its share of whatever else is pending (split evenly
+  with the other idle workers, up to ``max_batch``).  Nothing waits for
+  companions, so a batch larger than one forms only from requests that
+  queued while every worker was busy.  This is the adaptive batching of
+  Clipper (Crankshaw et al., NSDI 2017).
 * Each claimed batch is grouped by ``(algorithm, budget)`` and executed as
-  one engine batch; the engine then groups by histogram signature, so
-  duplicate content in the burst pays a single solve.
+  one :meth:`~repro.api.engine.Engine.process_batch`; the engine then groups
+  by histogram signature, so duplicate content in a batch pays a single
+  solve.  Duplicates that land on *different* workers share one solve
+  through the engine's per-instance solve lock and its double-checked
+  cache probe.
 * The pending queue is bounded (``max_pending``): when it is full,
   ``submit`` blocks up to its timeout and then raises
   :class:`ServerOverloadedError` — backpressure instead of unbounded memory.
@@ -23,9 +27,9 @@ Beyond one-shot requests the coalescer also carries **stream-session
 frames** (:meth:`RequestCoalescer.submit_frame`): a frame belonging to a
 long-lived :class:`~repro.api.session.StreamSession` served by the
 :class:`~repro.serve.server.SessionManager`.  Session frames from *many*
-sessions interleave into the same micro-batches as one-shot traffic — the
-frame's raw per-frame policy result comes out of the shared
-``process_batch`` tick, and the session's temporal step
+sessions share the queue, and under load the micro-batches, with one-shot
+traffic — the frame's raw per-frame policy result comes out of the shared
+``process_batch`` call, and the session's temporal step
 (:meth:`~repro.api.session.StreamSession.complete`) runs in the worker
 afterwards.  Per-session frame order is preserved because the session
 manager keeps at most one frame of a session in flight; the flicker bound
@@ -72,7 +76,7 @@ class ServerOverloadedError(RuntimeError):
         when known.
     retry_after_seconds:
         Suggested client back-off before retrying, when the raising
-        component can estimate one (e.g. a couple of batching windows for
+        component can estimate one (e.g. :data:`RETRY_AFTER_SECONDS` for
         the request queue).  ``None`` means "no estimate"; the protocol
         layer substitutes its default hint.
     """
@@ -82,6 +86,11 @@ class ServerOverloadedError(RuntimeError):
         super().__init__(message)
         self.queue_depth = queue_depth
         self.retry_after_seconds = retry_after_seconds
+
+
+#: Back-off suggested to a client whose request the full pending queue
+#: refused: long enough that a retry is not a busy-wait.
+RETRY_AFTER_SECONDS = 0.05
 
 
 class ServerClosedError(RuntimeError):
@@ -121,7 +130,13 @@ class _PendingRequest:
 
 
 class RequestCoalescer:
-    """Gathers concurrent ``submit()`` calls into shared engine batches.
+    """Serves concurrent ``submit()`` calls from a worker pool, batching
+    what queues while every worker is busy.
+
+    An idle worker claims a request the moment it is enqueued, so a lone
+    request never waits for companions; under load, each worker that frees
+    up claims its share of what is pending (up to ``max_batch``) as one
+    batch.
 
     Parameters
     ----------
@@ -130,10 +145,6 @@ class RequestCoalescer:
         batches, or any object with a compatible ``process_batch``.
     max_batch:
         Largest number of requests claimed into one micro-batch.
-    max_delay:
-        Batching window in seconds: how long a claimed batch waits for
-        companions after its first request arrived.  This bounds the extra
-        latency coalescing can add to a lone request.
     max_pending:
         Bound of the pending queue; submissions past it block and then fail
         with :class:`ServerOverloadedError` (backpressure).
@@ -145,24 +156,25 @@ class RequestCoalescer:
     """
 
     def __init__(self, engine, *, max_batch: int = 32,
-                 max_delay: float = 0.002, max_pending: int = 1024,
-                 workers: int = 1,
+                 max_pending: int = 1024, workers: int = 1,
                  recorder: StatsRecorder | None = None) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if max_delay < 0:
-            raise ValueError("max_delay must be non-negative")
         if max_pending < 1:
             raise ValueError("max_pending must be at least 1")
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self.engine = engine
         self.max_batch = int(max_batch)
-        self.max_delay = float(max_delay)
         self.max_pending = int(max_pending)
         self._recorder = recorder
-        self._cond = threading.Condition()
+        # one lock, two wait queues: an enqueue wakes one idle worker, a
+        # claim wakes the submitters waiting for queue space
+        self._lock = threading.Lock()
+        self._work = threading.Condition(self._lock)
+        self._space = threading.Condition(self._lock)
         self._pending: list[_PendingRequest] = []
+        self._idle = 0      # workers blocked waiting for work
         self._closed = False
         self._workers = [
             threading.Thread(target=self._worker_loop, daemon=True,
@@ -178,21 +190,19 @@ class RequestCoalescer:
     @property
     def pending_count(self) -> int:
         """Requests currently waiting to be claimed by a worker."""
-        with self._cond:
+        with self._lock:
             return len(self._pending)
 
     @property
     def closed(self) -> bool:
         """Whether the coalescer stopped accepting requests."""
-        with self._cond:
+        with self._lock:
             return self._closed
 
     def retry_after_hint(self) -> float:
         """Suggested client back-off when the pending queue refuses a
-        request: a couple of batching windows (one for the batch currently
-        forming, one for the wave that will claim the freed slots), floored
-        so sub-millisecond windows don't suggest a busy-wait."""
-        return max(2.0 * self.max_delay, 0.05)
+        request (:data:`RETRY_AFTER_SECONDS`)."""
+        return RETRY_AFTER_SECONDS
 
     def submit(self, image: Image, max_distortion: float,
                algorithm: str | CompensationAlgorithm | None = None,
@@ -242,7 +252,7 @@ class RequestCoalescer:
         """Shared admission path: backpressure, shutdown fence, bookkeeping."""
         deadline = (None if timeout is None
                     else time.monotonic() + max(timeout, 0.0))
-        with self._cond:
+        with self._lock:
             while (not force and len(self._pending) >= self.max_pending
                    and not self._closed):
                 remaining = (None if deadline is None
@@ -255,7 +265,7 @@ class RequestCoalescer:
                         f"for longer than the {timeout:g}s submit timeout",
                         queue_depth=len(self._pending),
                         retry_after_seconds=self.retry_after_hint())
-                self._cond.wait(remaining)
+                self._space.wait(remaining)
             if self._closed:
                 # count refusals at shutdown like backpressure rejections,
                 # so the stats account for every request a client saw fail
@@ -269,33 +279,34 @@ class RequestCoalescer:
             # a stats snapshot never sees completed > submitted
             if self._recorder is not None:
                 self._recorder.note_submitted()
-            self._cond.notify_all()
+            self._work.notify()
         return request.future
 
     # ------------------------------------------------------------------ #
     # worker side
     # ------------------------------------------------------------------ #
     def _claim(self) -> list[_PendingRequest] | None:
-        """Claim the next micro-batch; ``None`` when closed and drained."""
-        with self._cond:
+        """Claim pending requests without waiting for companions; blocks
+        only while nothing is pending.  ``None`` when closed and drained.
+
+        The claim is this worker's share of what is pending: an equal split
+        with the workers still waiting, capped by ``max_batch``.  A burst
+        that arrived while they slept then runs on all of them instead of
+        queueing inside one worker's batch.
+        """
+        with self._lock:
             while not self._pending:
                 if self._closed:
                     return None
-                self._cond.wait()
-            # the batching window: wait for companions until the batch is
-            # full or max_delay elapsed since the oldest pending request.
-            # The head is re-read every pass: a sibling worker may claim it
-            # while we wait, and a fresher head deserves a fresh window.
-            while (self._pending and len(self._pending) < self.max_batch
-                   and not self._closed):
-                remaining = self.max_delay - (
-                    time.perf_counter() - self._pending[0].enqueued_at)
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
-            batch = self._pending[:self.max_batch]
+                self._idle += 1
+                self._work.wait()
+                self._idle -= 1
+            share = -(-len(self._pending) // (self._idle + 1))
+            batch = self._pending[:min(share, self.max_batch)]
             del self._pending[:len(batch)]
-            self._cond.notify_all()     # wake backpressure waiters
+            if self._pending:
+                self._work.notify()     # the rest is a waiting worker's
+            self._space.notify_all()
             return batch
 
     def _worker_loop(self) -> None:
@@ -303,8 +314,7 @@ class RequestCoalescer:
             batch = self._claim()
             if batch is None:
                 return
-            if batch:   # a sibling worker may have drained the window
-                self._execute(batch)
+            self._execute(batch)
 
     def _execute(self, batch: Sequence[_PendingRequest]) -> None:
         """Run one claimed micro-batch: plan, group, batch-process, resolve.
@@ -344,7 +354,7 @@ class RequestCoalescer:
                 groups.setdefault(request.group_key(), []).append(request)
 
         # the fast-path frames first: a steady-scene replay is one cheap LUT
-        # application and must not wait behind the tick's full solves
+        # application and must not wait behind the batch's full solves
         for request in singles:
             try:
                 raw = request.session.compute(request.plan)
@@ -426,9 +436,10 @@ class RequestCoalescer:
         ``wait=True`` (the default) joins the workers, so every future
         submitted before the close is resolved when this returns.
         """
-        with self._cond:
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()
+            self._work.notify_all()
+            self._space.notify_all()
         if wait:
             for worker in self._workers:
                 worker.join()

@@ -10,11 +10,12 @@ thread-safe :class:`~repro.api.engine.Engine`, the micro-batching
   never touches pixels;
 * **engine work** stays on threads: one-shot ``process`` requests and
   session ``feed`` frames enter the shared
-  :class:`~repro.serve.server.Server` queue (so requests from *many
-  connections* coalesce into the same micro-batch ticks as in-process
-  traffic), while histogram-only ``solve`` requests and session opens run
-  on a small dedicated executor via ``run_in_executor`` (a warmed solve is
-  a cache lookup, far cheaper than a batch tick);
+  :class:`~repro.serve.server.Server` queue (so under load requests from
+  *many connections* share micro-batches with in-process traffic), while
+  histogram-only ``solve`` requests that miss the cache and session opens
+  run on a small dedicated executor via ``run_in_executor``; a warm solve
+  is a cache lookup (:meth:`Engine.cached_solution
+  <repro.api.engine.Engine.cached_solution>`), answered on the loop;
 * **backpressure survives the hop**: queue-refused work surfaces as a
   typed ``overloaded`` error frame carrying the structured
   ``retry_after`` / ``queue_depth`` hints of
@@ -414,8 +415,9 @@ class NetworkServer(FrameServerBase):
         :attr:`address` (or the :meth:`start` return value) for the bound
         one.
     solve_workers:
-        Threads of the dedicated executor running histogram-only solves
-        and session opens (the paths that bypass the micro-batch queue).
+        Threads of the dedicated executor running the histogram-only
+        solves that miss the cache, and session opens (the paths that
+        bypass the micro-batch queue).
     shard_id:
         Identity this server advertises in its ``hello`` frame, ``health``
         responses and ``stats`` payloads — how aggregated cluster stats
@@ -514,11 +516,17 @@ class NetworkServer(FrameServerBase):
 
         if kind == "solve":
             histogram = protocol.histogram_from_wire(message["histogram"])
-            solution = await loop.run_in_executor(
-                self._executor,
-                functools.partial(self.server.engine.solve, histogram,
-                                  float(message["max_distortion"]),
-                                  algorithm=message.get("algorithm")))
+            budget = float(message["max_distortion"])
+            algorithm = message.get("algorithm")
+            # a warm solve is a cache lookup: answer it here, and send the
+            # executor only the solves that must derive
+            solution = self.server.engine.cached_solution(
+                histogram, budget, algorithm=algorithm)
+            if solution is None:
+                solution = await loop.run_in_executor(
+                    self._executor,
+                    functools.partial(self.server.engine.solve, histogram,
+                                      budget, algorithm=algorithm))
             return protocol.solution_response(request_id, solution)
 
         if kind == "process":

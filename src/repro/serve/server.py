@@ -5,8 +5,10 @@
 
 * a **thread-safe** :class:`~repro.api.engine.Engine` (locked solution
   cache, per-algorithm solve locks, race-coalesced cold solves),
-* the micro-batching :class:`~repro.serve.coalescer.RequestCoalescer`, so N
-  concurrent clients with similar content pay one solve per tick,
+* the work-conserving :class:`~repro.serve.coalescer.RequestCoalescer`: an
+  idle worker takes a request at once, and requests that queue while every
+  worker is busy are batched, so N concurrent clients with similar content
+  pay one solve,
 * push-based :class:`~repro.api.session.StreamSession` streams, multiplexed
   over the same micro-batches by the :class:`SessionManager` (open / feed /
   close, idle-TTL eviction, session cap), and
@@ -397,10 +399,11 @@ class Server:
         Default algorithm of the fresh engine (ignored when ``engine`` is
         given).
     workers:
-        Worker threads executing micro-batches.
-    max_batch, max_delay:
-        Micro-batching shape: largest coalesced batch and the batching
-        window in seconds (see
+        Worker threads executing micro-batches.  An idle worker takes a
+        request at once; batches form only from requests that queue while
+        every worker is busy.
+    max_batch:
+        Largest coalesced batch (see
         :class:`~repro.serve.coalescer.RequestCoalescer`).
     max_pending:
         Bound of the request queue; beyond it submissions feel
@@ -425,7 +428,7 @@ class Server:
     def __init__(self, engine: Engine | None = None, *,
                  algorithm: str | CompensationAlgorithm = "hebs",
                  workers: int = 4, max_batch: int = 32,
-                 max_delay: float = 0.002, max_pending: int = 1024,
+                 max_pending: int = 1024,
                  submit_timeout: float = 1.0,
                  stats_window: int = 4096,
                  max_sessions: int = 64,
@@ -435,8 +438,8 @@ class Server:
         self.submit_timeout = float(submit_timeout)
         self._recorder = StatsRecorder(window=stats_window)
         self._coalescer = RequestCoalescer(
-            self.engine, max_batch=max_batch, max_delay=max_delay,
-            max_pending=max_pending, workers=workers,
+            self.engine, max_batch=max_batch, max_pending=max_pending,
+            workers=workers,
             recorder=self._recorder)
         self._sessions = SessionManager(
             self.engine, self._coalescer, max_sessions=max_sessions,

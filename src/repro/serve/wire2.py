@@ -96,8 +96,15 @@ def is_v2_payload(payload: bytes) -> bool:
 # --------------------------------------------------------------------- #
 # encoding
 # --------------------------------------------------------------------- #
+#: Leaf types returned as they are, tested first: a histogram's 256 counts
+#: would otherwise each pay the slow ``Mapping`` check.
+_SCALARS = (str, int, float, type(None))
+
+
 def _lift(value: Any, segments: list[bytes]) -> Any:
     """Replace ndarray leaves with segment descriptors, collecting bytes."""
+    if isinstance(value, _SCALARS):
+        return value
     if isinstance(value, np.ndarray):
         array = np.ascontiguousarray(value)
         index = len(segments)

@@ -9,6 +9,7 @@ versus a serial run.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -73,12 +74,12 @@ class TestEngineHammer:
         # no lost updates in the processed counter
         assert engine.processed == total
         stats = engine.cache_stats
-        # consistent stats: every process probed the cache exactly once,
-        # except losers of a cold-solve race who probed twice (miss + the
-        # double-checked hit) — so lookups >= total and the books balance
+        # consistent stats: every process probed the cache exactly once
+        # (a loser of a cold-solve race counts the winner's entry as its
+        # hit), and only the one solve per key counted a miss
         assert stats.lookups == stats.hits + stats.misses
-        assert stats.lookups >= total
-        assert stats.misses >= len(workload)        # every key missed once
+        assert stats.lookups == total
+        assert stats.misses == len(workload)        # every key missed once
         assert stats.size == len(workload)          # one entry per key
         assert stats.evictions == 0
         assert stats.hits == stats.lookups - stats.misses
@@ -137,12 +138,38 @@ class TestEngineHammer:
             thread.join()
         assert len(solves) == 1
         stats = engine.cache_stats
-        # the race losers re-probed under the solve lock: all books balance.
-        # every thread either hit outright or missed and then found the
-        # winner's entry, so exactly one thread (the winner) recorded no hit
+        # the race losers re-probed under the solve lock and found the
+        # winner's entry: one probe per thread, and only the winner missed
         assert stats.lookups == stats.hits + stats.misses
-        assert 1 <= stats.misses <= THREADS
+        assert stats.misses == 1
         assert stats.hits == THREADS - 1
+
+    def test_race_loser_counts_a_hit_not_a_miss(self, pipeline, lena):
+        """A thread that waits out another thread's solve of the same
+        histogram reuses the solution: it counts one hit, so the misses
+        count the solves whichever thread probes first."""
+        gate, entered = threading.Event(), threading.Event()
+        algo = HEBSAlgorithm(pipeline)
+        original_solve = algo.solve
+
+        def gated_solve(image, max_distortion):
+            entered.set()
+            assert gate.wait(timeout=30.0), "gate never released"
+            return original_solve(image, max_distortion)
+
+        algo.solve = gated_solve
+        engine = Engine(algo)
+        winner = threading.Thread(target=engine.process, args=(lena, 10.0))
+        winner.start()
+        assert entered.wait(timeout=30.0)       # the winner holds the lock
+        loser = threading.Thread(target=engine.process, args=(lena, 10.0))
+        loser.start()
+        time.sleep(0.1)     # let the loser reach the solve lock (either way
+        gate.set()          # the books below must balance the same)
+        winner.join(timeout=30.0)
+        loser.join(timeout=30.0)
+        stats = engine.cache_stats
+        assert (stats.misses, stats.hits, stats.lookups) == (1, 1, 2)
 
 
 class TestSolutionCacheHammer:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.api.engine import Engine
 from repro.api.registry import HEBSAlgorithm, available_algorithms
+from repro.core.histogram import Histogram
 
 SWEEP_BUDGETS = (2.0, 5.0, 10.0, 20.0, 30.0)
 
@@ -170,6 +171,38 @@ class TestProcessBatch:
 
     def test_empty_batch(self, pipeline):
         assert Engine(HEBSAlgorithm(pipeline)).process_batch([], 10.0) == []
+
+
+class TestCachedSolution:
+    def test_returns_the_cached_solution_and_counts_only_hits(self, pipeline,
+                                                              lena):
+        engine = Engine(HEBSAlgorithm(pipeline))
+        histogram = Histogram.of_image(lena.to_grayscale())
+        assert engine.cached_solution(histogram, 10.0) is None
+        assert engine.cache_stats.lookups == 0      # a miss counts nothing
+        solution = engine.solve(histogram, 10.0)
+        assert engine.cached_solution(histogram, 10.0) is solution
+        assert engine.cached_solution(histogram, 10.0,
+                                      algorithm="hebs") is solution
+        assert engine.cached_solution(histogram, 20.0) is None
+        stats = engine.cache_stats
+        assert (stats.hits, stats.misses) == (2, 1)
+
+    def test_never_instantiates_an_algorithm_or_solves(self, pipeline, lena,
+                                                       monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cached_solution instantiated an algorithm")
+
+        monkeypatch.setattr("repro.api.engine.create", refuse)
+        histogram = Histogram.of_image(lena.to_grayscale())
+        engine = Engine(HEBSAlgorithm(pipeline))
+        assert engine.cached_solution(histogram, 10.0,
+                                      algorithm="cbcs") is None
+        assert engine.cached_solution(histogram, -1.0) is None
+        uncached = Engine(HEBSAlgorithm(pipeline), cache_size=0)
+        uncached.solve(histogram, 10.0)
+        assert uncached.cached_solution(histogram, 10.0) is None
+        assert engine.cache_stats.lookups == 0
 
 
 class TestInvariantSweep:

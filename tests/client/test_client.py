@@ -202,8 +202,7 @@ class TestReconnectWithBackoff:
 @pytest.fixture(scope="module")
 def remote(pipeline):
     """A real network server plus the loadgen adapter pointed at it."""
-    server = Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=2,
-                    max_delay=0.002)
+    server = Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=2)
     network = NetworkServer(server)
     host, port = network.start()
     adapter = RemoteServerAdapter(f"{host}:{port}")

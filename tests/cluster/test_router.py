@@ -27,8 +27,7 @@ from repro.serve import protocol
 
 
 def make_shard(pipeline) -> NetworkServer:
-    server = Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=2,
-                    max_delay=0.002)
+    server = Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=2)
     network = NetworkServer(server)
     network.start()
     return network
@@ -209,8 +208,7 @@ class TestFailover:
         assert not router.health[victim].up
         assert router.health[victim].markdowns == 1
         # resurrect a shard on the same port: the probe marks it up
-        server = Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=2,
-                        max_delay=0.002)
+        server = Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=2)
         revived = NetworkServer(server, host=host, port=port)
         revived.start()
         try:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api.engine import Engine
+from repro.api.registry import HEBSAlgorithm
 from repro.core.pipeline import HEBS, HEBSConfig
 from repro.display.panel import PanelModel, TransmissivityModel
 from repro.display.power import DisplayPowerModel
@@ -168,6 +170,41 @@ class TestProcessAdaptive:
     def test_tight_budget_falls_back_to_full_range(self, pipeline, baboon):
         result = pipeline.process_adaptive(baboon, 0.01)
         assert result.target_range == pipeline.curve.levels - 1
+
+    @pytest.mark.parametrize("name, budget", [("lena", 0.0),
+                                              ("testpat", 5.0)])
+    def test_over_budget_full_range_falls_back_to_the_identity(
+            self, pipeline, full_suite, name, budget):
+        """When even the full range overshoots, beta = 1 with the identity
+        LUT keeps the budget: the image unchanged, zero saving."""
+        image = full_suite[name]
+        full_range = pipeline.process_with_range(image, 255)
+        assert full_range.distortion > budget       # the fallback case
+        result = pipeline.process_adaptive(image, budget)
+        assert np.array_equal(result.transformed.pixels,
+                              result.original.pixels)
+        assert result.distortion <= budget
+        assert result.backlight_factor == 1.0
+        assert result.power_saving == 0.0
+        assert result.target_range == 255
+        # the engine caches and replays the same fallback
+        engine = Engine(HEBSAlgorithm(pipeline, adaptive=True))
+        for _ in range(2):
+            served = engine.process(image, budget)
+            assert np.array_equal(served.output.pixels,
+                                  result.original.pixels)
+            assert served.distortion <= budget
+            assert served.power_saving_percent == 0.0
+        assert engine.cache_stats.hits == 1
+
+    def test_identity_solution_honours_g_min(self, pipeline, lena):
+        offset = pipeline.with_config(g_min=16)
+        solution = offset.identity_solution(lena)
+        assert solution.target_range == 239
+        assert offset.backlight_factor_for_range(239) == 1.0
+        result = offset.apply_solution(solution, lena)
+        assert np.array_equal(result.transformed.pixels,
+                              lena.to_grayscale().pixels)
 
     def test_validation(self, pipeline, lena):
         with pytest.raises(ValueError, match="non-negative"):

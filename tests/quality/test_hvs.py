@@ -3,8 +3,55 @@
 import numpy as np
 import pytest
 
+from repro.bench.suite import benchmark_images
 from repro.imaging.image import Image
-from repro.quality.hvs import HVSModel, perceptual_weight_map
+from repro.quality.hvs import HVSModel, _box_blur, perceptual_weight_map
+
+
+def _padded_box_blur(values, radius):
+    """The blur as first written: both passes over the fully padded image,
+    with a zero column (row) concatenated in front of each prefix sum."""
+    if radius <= 0:
+        return values.copy()
+    kernel = 2 * radius + 1
+    padded = np.pad(values, radius, mode="edge")
+    csum = np.cumsum(padded, axis=1)
+    horizontal = (
+        csum[:, kernel - 1:]
+        - np.concatenate(
+            [np.zeros((csum.shape[0], 1)), csum[:, :-kernel]], axis=1
+        )
+    ) / kernel
+    horizontal = horizontal[radius:-radius, :]
+    padded_v = np.pad(horizontal, ((radius, radius), (0, 0)), mode="edge")
+    csum_v = np.cumsum(padded_v, axis=0)
+    return (
+        csum_v[kernel - 1:, :]
+        - np.concatenate(
+            [np.zeros((1, csum_v.shape[1])), csum_v[:-kernel, :]], axis=0
+        )
+    ) / kernel
+
+
+class TestBoxBlur:
+    @pytest.mark.parametrize("radius", [1, 2, 4, 6])
+    def test_bit_identical_to_the_padded_blur(self, radius):
+        """Blurring only the unpadded rows, into a preallocated output,
+        changes no bit of the result."""
+        rng = np.random.default_rng(radius)
+        arrays = [image.to_grayscale().as_float()
+                  for image in benchmark_images().values()]
+        arrays += [rng.random((128, 128)), rng.random((37, 53)),
+                   rng.normal(size=(20, 90)),
+                   np.abs(rng.normal(size=(64, 64))) * 1e-3]
+        for values in arrays:
+            assert np.array_equal(_box_blur(values, radius),
+                                  _padded_box_blur(values, radius))
+
+    def test_radius_zero_copies(self):
+        values = np.arange(12.0).reshape(3, 4)
+        blurred = _box_blur(values, 0)
+        assert np.array_equal(blurred, values) and blurred is not values
 
 
 class TestModelValidation:

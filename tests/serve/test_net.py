@@ -27,8 +27,7 @@ from repro.serve import NetworkServer, Server, ServerOverloadedError, protocol
 @pytest.fixture(scope="module")
 def net(pipeline):
     """One shared network server over a real engine, on a free port."""
-    server = Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=2,
-                    max_delay=0.002)
+    server = Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=2)
     network = NetworkServer(server)
     network.start()
     yield network
@@ -188,7 +187,7 @@ class TestOverloadAcrossTheHop:
         gate, entered = threading.Event(), threading.Event()
         algorithm = _GatedAlgorithm(create("dls-brightness"), gate, entered)
         server = Server(engine=Engine(algorithm, cache_size=0),
-                        workers=1, max_batch=1, max_delay=0.0, max_pending=1)
+                        workers=1, max_batch=1, max_pending=1)
         network = NetworkServer(server)
         host, port = network.start()
         try:
@@ -237,7 +236,7 @@ class TestOverloadAcrossTheHop:
         gate, entered = threading.Event(), threading.Event()
         algorithm = _GatedAlgorithm(create("dls-brightness"), gate, entered)
         server = Server(engine=Engine(algorithm, cache_size=0),
-                        workers=1, max_batch=1, max_delay=0.0, max_pending=1)
+                        workers=1, max_batch=1, max_pending=1)
         network = NetworkServer(server)
         host, port = network.start()
         try:
@@ -266,6 +265,46 @@ class TestOverloadAcrossTheHop:
             assert result.algorithm == "dls-brightness"
             first.join(timeout=30.0)
             second.join(timeout=30.0)
+        finally:
+            gate.set()
+            network.close()
+
+
+class TestWarmSolveOnTheLoop:
+    def test_warm_solve_answers_while_the_solve_executor_is_wedged(self,
+                                                                   lena):
+        """A cache-hit solve RPC never waits for the solve executor: with
+        its only thread held inside a cold solve, a warm one still
+        answers, with the cached solution."""
+        gate, entered = threading.Event(), threading.Event()
+        algorithm = _GatedAlgorithm(create("dls-brightness"), gate, entered)
+        engine = Engine(algorithm)
+        gate.set()
+        warm = engine.solve(lena, 10.0)
+        gate.clear()
+        entered.clear()
+        network = NetworkServer(Server(engine=engine, workers=1),
+                                solve_workers=1)
+        host, port = network.start()
+        try:
+            cold = Histogram.of_image(_random_image(np.random.default_rng(7)))
+
+            def solve_cold():
+                with Client(host=host, port=port, timeout=30.0) as c:
+                    c.solve(cold, 10.0)
+
+            wedged = threading.Thread(target=solve_cold, daemon=True)
+            wedged.start()
+            assert entered.wait(timeout=10.0)
+            with Client(host=host, port=port, timeout=10.0,
+                        retries=0) as client:
+                solution = client.solve(
+                    Histogram.of_image(lena.to_grayscale()), 10.0)
+            assert solution.backlight_factor == warm.backlight_factor
+            assert solution.transform == warm.transform
+            assert wedged.is_alive()            # the cold solve still waits
+            gate.set()
+            wedged.join(timeout=30.0)
         finally:
             gate.set()
             network.close()

@@ -24,7 +24,7 @@ from repro.serve import NetworkServer, Server, protocol
 @pytest.fixture(scope="module")
 def net():
     """A network server over a default engine (algorithm per request)."""
-    server = Server(engine=Engine(), workers=2, max_delay=0.002)
+    server = Server(engine=Engine(), workers=2)
     network = NetworkServer(server)
     network.start()
     yield network

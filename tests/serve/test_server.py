@@ -1,17 +1,21 @@
 """Tests for the worker-pool Server: end-to-end over the real engine."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.api.engine import Engine
 from repro.api.registry import HEBSAlgorithm
+from repro.bench.throughput import repeated_workload
+from repro.core.histogram import Histogram
 from repro.serve import Server, ServerClosedError
 
 
 @pytest.fixture
 def server(pipeline):
-    with Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=2,
-                max_delay=0.002) as instance:
+    with Server(engine=Engine(HEBSAlgorithm(pipeline)),
+                workers=2) as instance:
         yield instance
 
 
@@ -43,6 +47,54 @@ class TestRequestPaths:
     def test_per_request_algorithm_override(self, server, lena):
         assert server.process(lena, 10.0,
                               algorithm="cbcs").algorithm == "cbcs"
+
+
+class TestDuplicateHeavyTraffic:
+    CLIENTS = 4
+
+    def test_concurrent_duplicates_pay_one_solve_per_histogram(self,
+                                                               pipeline):
+        """Duplicates that reach different workers at once share one solve
+        through the engine's solve lock: the cache misses once per distinct
+        histogram, and every result equals the serial engine's."""
+        workload = repeated_workload()
+        distinct = {Histogram.of_image(image.to_grayscale()).counts.tobytes()
+                    for image in workload}
+        algorithm = HEBSAlgorithm(pipeline)
+        solves = []
+        solve = algorithm.solve
+
+        def counting_solve(image, max_distortion):
+            solves.append(max_distortion)
+            return solve(image, max_distortion)
+
+        algorithm.solve = counting_solve
+        engine = Engine(algorithm)
+        barrier = threading.Barrier(self.CLIENTS)
+        futures = [None] * len(workload)
+
+        def client(offset: int) -> None:
+            barrier.wait()
+            for index in range(offset, len(workload), self.CLIENTS):
+                futures[index] = server.submit(workload[index], 10.0)
+
+        with Server(engine=engine, workers=4) as server:
+            threads = [threading.Thread(target=client, args=(offset,))
+                       for offset in range(self.CLIENTS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            served = [future.result(timeout=60.0) for future in futures]
+
+        assert engine.cache_stats.misses == len(distinct)
+        assert len(solves) == len(distinct)
+        reference = Engine(HEBSAlgorithm(pipeline))
+        for image, got in zip(workload, served):
+            want = reference.process(image, 10.0)
+            assert np.array_equal(want.output.pixels, got.output.pixels)
+            assert got.backlight_factor == want.backlight_factor
+            assert got.distortion == want.distortion
 
 
 class TestWarmup:

@@ -27,8 +27,7 @@ pytestmark = pytest.mark.skipif(not shm_lane.shm_available(),
 
 @pytest.fixture(scope="module")
 def net(pipeline):
-    server = Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=2,
-                    max_delay=0.002)
+    server = Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=2)
     network = NetworkServer(server)
     network.start()
     yield network

@@ -33,10 +33,25 @@ def clip():
     return frames
 
 
+class HeldEngine(Engine):
+    """An engine whose ``process_batch`` waits for ``release``; ``entered``
+    is set once a call is inside."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def process_batch(self, images, max_distortion, algorithm=None):
+        self.entered.set()
+        assert self.release.wait(timeout=30.0), "engine never released"
+        return super().process_batch(images, max_distortion,
+                                     algorithm=algorithm)
+
+
 @pytest.fixture
 def server(pipeline):
-    server = Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=2,
-                    max_delay=0.001)
+    server = Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=2)
     yield server
     server.close(wait=True)
 
@@ -80,15 +95,17 @@ class TestServerSessions:
         assert actual == expected
 
     def test_session_queue_bound_backpressure(self, pipeline, clip):
-        server = Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=1,
-                        session_queue=2, max_delay=0.2)
+        engine = HeldEngine(HEBSAlgorithm(pipeline))
+        server = Server(engine=engine, workers=1, session_queue=2)
         with server:
             with server.open_session(10.0) as session:
                 futures = [session.submit(clip[0])]       # in flight
+                assert engine.entered.wait(timeout=30.0)  # held in the engine
                 futures.append(session.submit(clip[1]))   # queued 1
                 futures.append(session.submit(clip[2]))   # queued 2
                 with pytest.raises(ServerOverloadedError):
                     session.submit(clip[3])               # queue full
+                engine.release.set()
                 for future in futures:
                     future.result(timeout=30.0)
 
@@ -136,8 +153,7 @@ class TestServerSessions:
         re-stamped at pump time, so the recorded latency missed the wait
         behind their predecessors — exactly the overload signal the
         per-session telemetry exists to surface."""
-        server = Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=1,
-                        max_delay=0.001)
+        server = Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=1)
         with server:
             with server.open_session(10.0) as session:
                 submitted = time.perf_counter()
