@@ -58,6 +58,7 @@ from repro.api.registry import (
 from repro.api.types import (
     CompensationResult,
     CompensationSolution,
+    SolvedFrame,
     StreamFrameResult,
 )
 
@@ -76,6 +77,7 @@ __all__ = [
     "DEFAULT_POLICY",
     "CompensationResult",
     "CompensationSolution",
+    "SolvedFrame",
     "StreamFrameResult",
     "CacheStats",
     "SolutionCache",

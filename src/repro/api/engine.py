@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.api.cache import CacheStats, SolutionCache, histogram_signature
@@ -39,6 +38,7 @@ from repro.api.session import StreamSession
 from repro.api.types import (
     CompensationResult,
     CompensationSolution,
+    SolvedFrame,
     StreamFrameResult,
 )
 from repro.core.histogram import Histogram
@@ -163,8 +163,8 @@ class Engine:
         return (algorithm, signature, float(max_distortion))
 
     def _solve(self, algorithm: CompensationAlgorithm, grayscale: Image,
-               max_distortion: float):
-        """Look up or derive the solution; returns ``(solution, from_cache)``."""
+               max_distortion: float) -> SolvedFrame:
+        """Look up or derive the solution for ``grayscale``."""
         key = (None if self._cache is None else
                self._cache_key(algorithm, Histogram.of_image(grayscale),
                                max_distortion))
@@ -180,12 +180,10 @@ class Engine:
         if max_distortion < 0:
             raise ValueError("max_distortion must be non-negative")
         algo = self.algorithm(algorithm)
-        grayscale = image.to_grayscale()
-        solution, hit = self._solve(algo, grayscale, max_distortion)
-        result = algo.apply_solution(solution, grayscale,
-                                     max_distortion=max_distortion)
+        result = self._solve(algo, image.to_grayscale(),
+                             max_distortion).apply(algo, max_distortion)
         self._note_processed()
-        return replace(result, from_cache=hit) if hit else result
+        return result
 
     def solve(self, source: Image | Histogram, max_distortion: float,
               algorithm: str | CompensationAlgorithm | None = None,
@@ -209,7 +207,7 @@ class Engine:
         traffic and :meth:`process` traffic share solutions.  For the
         histogram-driven techniques (``hebs``, the DLS variants, ``cbcs``)
         the solution is bit-identical to the one :meth:`process` derives on
-        the full image; ``hebs-adaptive`` bisects on distortion *measured*
+        the full image; ``hebs-adaptive`` searches on distortion *measured*
         on the histogram-realizing image, which approximates (rather than
         reproduces) its per-image selection when the measure is
         layout-sensitive.
@@ -221,8 +219,7 @@ class Engine:
             grayscale = source.to_image()
         else:
             grayscale = source.to_grayscale()
-        solution, _ = self._solve(algo, grayscale, max_distortion)
-        return solution
+        return self._solve(algo, grayscale, max_distortion).solution
 
     def cached_solution(self, histogram: Histogram, max_distortion: float,
                         algorithm: str | None = None,
@@ -264,8 +261,8 @@ class Engine:
         if self._cache is None:
             return False
         algo = self.algorithm(algorithm)
-        _, hit = self._solve(algo, image.to_grayscale(), max_distortion)
-        return not hit
+        return not self._solve(algo, image.to_grayscale(),
+                               max_distortion).from_cache
 
     def process_batch(self, images: Iterable[Image], max_distortion: float,
                       algorithm: str | CompensationAlgorithm | None = None,
@@ -286,6 +283,26 @@ class Engine:
         if max_distortion < 0:
             raise ValueError("max_distortion must be non-negative")
         algo = self.algorithm(algorithm)
+        results = [frame.apply(algo, max_distortion) for frame in
+                   self.solve_batch(images, max_distortion, algorithm=algo)]
+        self._note_processed(len(results))
+        return results
+
+    def solve_batch(self, images: Iterable[Image], max_distortion: float,
+                    algorithm: str | CompensationAlgorithm | None = None,
+                    ) -> list[SolvedFrame]:
+        """:meth:`process_batch` without the apply: each image's solution,
+        every distinct histogram solved once, as a
+        :class:`~repro.api.types.SolvedFrame` to apply later.
+
+        The serving layer takes stream-session frames this way: a session
+        applies a frame's solution only when no re-derivation at the
+        smoothed backlight factor replaces the raw result (see
+        :meth:`~repro.api.session.StreamSession.complete`).
+        """
+        if max_distortion < 0:
+            raise ValueError("max_distortion must be non-negative")
+        algo = self.algorithm(algorithm)
         grayscales = [image.to_grayscale() for image in images]
 
         # group by cache key so every distinct histogram is solved once
@@ -299,35 +316,32 @@ class Engine:
                 key = self._cache_key(algo, histogram, max_distortion)
             groups.setdefault(key, []).append(index)
 
-        results: list[CompensationResult | None] = [None] * len(grayscales)
+        frames: list[SolvedFrame | None] = [None] * len(grayscales)
         for key, indices in groups.items():
-            solution, hit = self._solve_group(algo, key,
-                                              grayscales[indices[0]],
-                                              max_distortion)
+            first = self._solve_group(algo, key, grayscales[indices[0]],
+                                      max_distortion)
+            frames[indices[0]] = first
             # every group member past the first replays the shared solve;
             # tally them as replays (not as synthetic cache probes, which
             # would double-count lookups and perturb the LRU recency)
             if len(indices) > 1 and self._cache is not None:
                 self._cache.note_replays(len(indices) - 1)
-            for position, index in enumerate(indices):
-                result = algo.apply_solution(solution, grayscales[index],
-                                             max_distortion=max_distortion)
-                if hit or position > 0:
-                    result = replace(result, from_cache=hit,
-                                     replayed=position > 0)
-                results[index] = result
-        self._note_processed(len(grayscales))
-        return list(results)
+            for index in indices[1:]:
+                frames[index] = SolvedFrame(
+                    grayscales[index], first.solution,
+                    from_cache=first.from_cache, replayed=True)
+        return list(frames)
 
     def _solve_group(self, algorithm: CompensationAlgorithm,
                      key: tuple | None, grayscale: Image,
-                     max_distortion: float):
-        """Look up or derive the solution for one cache key; returns
-        ``(solution, from_cache)``.  ``key`` is ``None`` (and ignored) when
-        caching is disabled."""
+                     max_distortion: float) -> SolvedFrame:
+        """Look up or derive the solution for one cache key.  ``key`` is
+        ``None`` (and ignored) when caching is disabled.  A fresh solve that
+        already measured its solution on ``grayscale`` hands that result
+        over (see ``CompensationAlgorithm.take_solved_result``)."""
         if self._cache is None:
             with self._solve_lock(algorithm):
-                return algorithm.solve(grayscale, max_distortion), False
+                return self._fresh(algorithm, grayscale, max_distortion)
         # the unlocked probe counts only a hit.  A thread that finds nothing
         # re-probes under the solve lock, where a thread that lost a race on
         # the same histogram finds the winner's entry (its hit), so every
@@ -335,14 +349,23 @@ class Engine:
         solution = self._cache.peek(key)
         if solution is not None:
             self._cache.note_hit()
-            return solution, True
+            return SolvedFrame(grayscale, solution, from_cache=True)
         with self._solve_lock(algorithm):
             solution = self._cache.get(key)
             if solution is not None:
-                return solution, True
-            solution = algorithm.solve(grayscale, max_distortion)
-            self._cache.put(key, solution)
-        return solution, False
+                return SolvedFrame(grayscale, solution, from_cache=True)
+            frame = self._fresh(algorithm, grayscale, max_distortion)
+            self._cache.put(key, frame.solution)
+        return frame
+
+    @staticmethod
+    def _fresh(algorithm: CompensationAlgorithm, grayscale: Image,
+               max_distortion: float) -> SolvedFrame:
+        """Solve ``grayscale`` and take the result the solve measured."""
+        solution = algorithm.solve(grayscale, max_distortion)
+        return SolvedFrame(grayscale, solution,
+                           result=algorithm.take_solved_result(solution,
+                                                               grayscale))
 
     def open_session(self, max_distortion: float,
                      algorithm: str | CompensationAlgorithm | None = None, *,

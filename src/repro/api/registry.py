@@ -17,18 +17,20 @@ additionally implement ``at_backlight()``.
 
 The module registry maps public names to factories.  The built-in entries
 cover the whole package: HEBS with the characteristic-curve range selection
-(``hebs``), HEBS with per-image bisection (``hebs-adaptive``), HEBS with the
-alternative equalization methods (``hebs-clipped``, ``hebs-bbhe``), the two
-DLS variants of ref. [4], CBCS of ref. [5], and the emissive-panel
-inversions (``oled-darken``, ``oled-darken-clipped``) that darken content
-instead of dimming a backlight.  Every entry carries a *display class*
-(``"backlit"`` or ``"emissive"``) so tooling can tell which panel a
-technique drives.  Third-party techniques can join via :func:`register`.
+(``hebs``), HEBS with a per-image range search (``hebs-adaptive``), HEBS
+with the alternative equalization methods (``hebs-clipped``,
+``hebs-bbhe``), the two DLS variants of ref. [4], CBCS of ref. [5], and the
+emissive-panel inversions (``oled-darken``, ``oled-darken-clipped``) that
+darken content instead of dimming a backlight.  Every entry carries a
+*display class* (``"backlit"`` or ``"emissive"``) so tooling can tell which
+panel a technique drives.  Third-party techniques can join via
+:func:`register`.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import replace
 from typing import Callable, Mapping
 
@@ -87,8 +89,23 @@ class CompensationAlgorithm:
                    max_distortion: float) -> CompensationResult:
         """Solve for ``image`` under the budget and apply the solution."""
         solution = self.solve(image, max_distortion)
-        return self.apply_solution(solution, image,
-                                   max_distortion=max_distortion)
+        result = self.take_solved_result(solution, image)
+        if result is None:
+            result = self.apply_solution(solution, image,
+                                         max_distortion=max_distortion)
+        return result
+
+    def take_solved_result(self, solution: CompensationSolution,
+                           image: Image) -> CompensationResult | None:
+        """The result of applying ``solution`` to ``image`` when the calling
+        thread's last :meth:`solve` returned ``solution`` for ``image`` and
+        already measured it there, else ``None``; either way the thread's
+        solve keeps nothing afterwards.
+
+        Called right after :meth:`solve` by its callers that apply next.
+        The default keeps nothing, so it always returns ``None``.
+        """
+        return None
 
     def at_backlight(self, image: Image, backlight_factor: float,
                      max_distortion: float | None = None,
@@ -100,6 +117,16 @@ class CompensationAlgorithm:
         """
         raise NotImplementedError(
             f"{self.name!r} cannot run at a fixed backlight factor")
+
+    def realized_backlight(self, backlight_factor: float) -> float | None:
+        """The backlight factor :meth:`at_backlight` realizes for
+        ``backlight_factor`` (it may quantize it), when that does not
+        depend on the image; ``None`` when unknown, the default.
+
+        A stream session discards a re-derivation whose realized factor
+        breaks its flicker bound, so it skips one it knows would.
+        """
+        return None
 
 
 # --------------------------------------------------------------------- #
@@ -153,8 +180,9 @@ class HEBSAlgorithm(CompensationAlgorithm):
     adaptive:
         ``False`` selects the dynamic range from the global characteristic
         curve (the paper's real-time flow, purely histogram-driven);
-        ``True`` bisects on the measured per-image distortion (the offline
-        Table-1 selection).
+        ``True`` searches the range on the measured per-image distortion
+        (the offline Table-1 selection; see
+        :meth:`~repro.core.pipeline.HEBS.process_adaptive`).
     equalization:
         Equalization method for step 2 (``"ghe"``, ``"clipped"``,
         ``"bbhe"``); only consulted when ``pipeline`` is not given.
@@ -175,13 +203,16 @@ class HEBSAlgorithm(CompensationAlgorithm):
             pipeline = default_pipeline(measure=measure, config=config)
         self.pipeline = pipeline
         self.adaptive = bool(adaptive)
+        # per thread: (solution, image, result) of this thread's last
+        # adaptive solve, until take_solved_result takes it
+        self._solved = threading.local()
         if name is None:
             name = "hebs-adaptive" if adaptive else "hebs"
             if pipeline.config.equalization != "ghe":
                 name = f"hebs-{pipeline.config.equalization}"
         self.name = name
         self.description = (
-            "HEBS with per-image bisection on the measured distortion"
+            "HEBS with a per-image range search on the measured distortion"
             if self.adaptive else
             "HEBS via the global distortion characteristic curve (Fig. 4)")
         if pipeline.config.equalization != "ghe":
@@ -211,12 +242,13 @@ class HEBSAlgorithm(CompensationAlgorithm):
     def solve(self, image: Image,
               max_distortion: float) -> CompensationSolution:
         if self.adaptive:
-            # the bisection needs per-image distortion, so a cold adaptive
-            # solve pays one extra LUT apply when the engine replays the
-            # solution — small next to the ~8 applies of the search, and it
-            # keeps the cached solution free of per-image state
+            # the search ends on an exact probe of these very pixels: keep
+            # it for take_solved_result, so the solution itself stays free
+            # of per-image state
             result = self.pipeline.process_adaptive(image, max_distortion)
-            return self._solution_from_result(result, max_distortion)
+            solution = self._solution_from_result(result, max_distortion)
+            self._solved.last = (solution, image, result)
+            return solution
         target_range = self.pipeline.select_range(max_distortion)
         native = self.pipeline.solve_range(image, target_range,
                                            max_distortion=max_distortion)
@@ -237,6 +269,14 @@ class HEBSAlgorithm(CompensationAlgorithm):
         return _wrap_hebs(self.pipeline.apply_solution(native, image),
                           self.name)
 
+    def take_solved_result(self, solution: CompensationSolution,
+                           image: Image) -> CompensationResult | None:
+        last = getattr(self._solved, "last", None)
+        self._solved.last = None
+        if last is None or last[0] is not solution or last[1] is not image:
+            return None
+        return _wrap_hebs(last[2], self.name)
+
     def at_backlight(self, image: Image, backlight_factor: float,
                      max_distortion: float | None = None,
                      ) -> CompensationResult:
@@ -245,6 +285,11 @@ class HEBSAlgorithm(CompensationAlgorithm):
         result = self.pipeline.process_with_range(
             image, target_range, max_distortion=max_distortion)
         return _wrap_hebs(result, self.name)
+
+    def realized_backlight(self, backlight_factor: float) -> float:
+        # the factor of the range at_backlight runs at
+        return self.pipeline.backlight_factor_for_range(
+            self.pipeline.range_for_backlight_factor(backlight_factor))
 
 
 class BaselineAlgorithm(CompensationAlgorithm):
@@ -483,7 +528,7 @@ register(
     "hebs-adaptive",
     lambda **options: HEBSAlgorithm(adaptive=True, name="hebs-adaptive",
                                     **options),
-    "HEBS with per-image dynamic-range bisection (offline Table-1 flow)")
+    "HEBS with a per-image dynamic-range search (offline Table-1 flow)")
 register(
     "hebs-clipped",
     lambda **options: HEBSAlgorithm(equalization="clipped",

@@ -32,14 +32,18 @@ Two execution modes:
   per-frame solve and replay the held solution as a cheap LUT application.
 
 The per-frame work is additionally split into three phases —
-:meth:`StreamSession.begin` / :meth:`StreamSession.compute` /
+:meth:`StreamSession.begin` / :meth:`StreamSession.solve` /
 :meth:`StreamSession.complete` — so a serving layer can interleave frames
 from many sessions into one shared
-:meth:`~repro.api.engine.Engine.process_batch` call (see
+:meth:`~repro.api.engine.Engine.solve_batch` call (see
 :mod:`repro.serve`): ``begin`` observes the frame and decides whether a solve
-is needed, the raw per-frame result is then produced either by ``compute``
-or by an external batch, and ``complete`` runs the temporal filtering.
-:meth:`StreamSession.submit` is exactly ``begin -> compute -> complete``.
+is needed, the frame's solution is then produced either by ``solve`` or by
+an external batch, and ``complete`` runs the temporal filtering.  When
+smoothing moves the backlight factor, ``complete`` re-derives the
+transformation at the applied factor, so it applies the frame's own
+solution only when it keeps it.  :meth:`StreamSession.submit` is exactly
+``begin -> solve -> complete``; :meth:`StreamSession.compute` is ``solve``
+plus the apply, for callers that want the raw result.
 Phases of one session must not interleave across frames; a session is
 guarded by a lock, but the *ordering* is the caller's contract (the serving
 layer keeps at most one frame of a session in flight).
@@ -48,11 +52,11 @@ layer keeps at most one frame of a session in flight).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.api.cache import histogram_signature
 from repro.api.registry import CompensationAlgorithm
-from repro.api.types import CompensationResult, StreamFrameResult
+from repro.api.types import CompensationResult, SolvedFrame, StreamFrameResult
 from repro.core.temporal import (
     BacklightSmoother,
     RollingHistogram,
@@ -87,11 +91,12 @@ class StreamFramePlan:
         the default mode; on the fast path only scene changes and rolling
         drift trigger a solve, everything else replays the held solution).
     batchable:
-        Whether the raw result may come from a shared
-        :meth:`~repro.api.engine.Engine.process_batch` instead of
-        :meth:`StreamSession.compute` — true exactly for solve frames of
+        Whether the frame's solution may come from a shared
+        :meth:`~repro.api.engine.Engine.solve_batch` (or its raw result from
+        :meth:`~repro.api.engine.Engine.process_batch`) instead of
+        :meth:`StreamSession.solve` — true exactly for solve frames of
         sessions *without* the fast path (fast-path solves must run through
-        ``compute`` so the session can capture the solution it will hold).
+        ``solve`` so the session can capture the solution it will hold).
     rolling_signature:
         The drift-gate signature of the rolling histogram after this frame
         was folded in (fast path only, ``None`` otherwise) — computed once
@@ -234,13 +239,13 @@ class StreamSession:
     def submit(self, frame: Image) -> StreamFrameResult:
         """Push one frame through the session and return its outcome.
 
-        Equivalent to ``complete(plan, compute(plan))`` for
+        Equivalent to ``complete(plan, solve(plan))`` for
         ``plan = begin(frame)`` — the split phases exist for serving layers
-        that produce the raw result out of a shared batch.
+        that produce the frame's solution out of a shared batch.
         """
         with self._lock:
             plan = self.begin(frame)
-            return self.complete(plan, self.compute(plan))
+            return self.complete(plan, self.solve(plan))
 
     def begin(self, frame: Image) -> StreamFramePlan:
         """Phase 1: observe ``frame`` and plan its execution.
@@ -270,58 +275,73 @@ class StreamSession:
                                    needs_solve=needs_solve, batchable=False,
                                    rolling_signature=signature)
 
-    def compute(self, plan: StreamFramePlan) -> CompensationResult:
-        """Phase 2: the raw per-frame policy result for a planned frame.
+    def solve(self, plan: StreamFramePlan) -> SolvedFrame:
+        """Phase 2: the frame's solution, not yet applied.
 
-        Solve frames run the cache-accelerated per-frame policy (exactly
-        :meth:`Engine.process <repro.api.engine.Engine.process>`); fast-path
-        steady frames replay the session's held solution as one cheap LUT
-        application, marked ``replayed=True``.
+        Solve frames run the cache-accelerated per-frame policy (the solve
+        of :meth:`Engine.process <repro.api.engine.Engine.process>`);
+        fast-path steady frames replay the session's held solution, marked
+        ``replayed=True``.
         """
         with self._lock:
             if not plan.needs_solve:
-                raw = self._algorithm.apply_solution(
-                    self._held, plan.grayscale,
-                    max_distortion=self._max_distortion)
-                self._engine._note_processed()
-                return replace(raw, replayed=True)
-            if not self.scene_gated_solve:
-                return self._engine.process(plan.grayscale,
-                                            self._max_distortion,
-                                            algorithm=self._algorithm)
-            # fast-path solve: go through the shared cache but keep the
-            # solution, so the steady frames that follow can replay it
-            solution, hit = self._engine._solve(
-                self._algorithm, plan.grayscale, self._max_distortion)
-            raw = self._algorithm.apply_solution(
-                solution, plan.grayscale, max_distortion=self._max_distortion)
+                return SolvedFrame(plan.grayscale, self._held, replayed=True)
+            frame = self._engine._solve(self._algorithm, plan.grayscale,
+                                        self._max_distortion)
+            if self.scene_gated_solve:
+                # fast-path solve: keep the solution, so the steady frames
+                # that follow can replay it
+                self._held = frame.solution
+                self._held_signature = plan.rolling_signature
+            return frame
+
+    def compute(self, plan: StreamFramePlan) -> CompensationResult:
+        """The raw per-frame policy result for a planned frame:
+        :meth:`solve` and the apply (a fast-path replay is one cheap LUT
+        application)."""
+        with self._lock:
+            raw = self.solve(plan).apply(self._algorithm,
+                                         self._max_distortion)
             self._engine._note_processed()
-            self._held = solution
-            self._held_signature = plan.rolling_signature
-            return replace(raw, from_cache=True) if hit else raw
+            return raw
 
     def complete(self, plan: StreamFramePlan,
-                 raw: CompensationResult) -> StreamFrameResult:
-        """Phase 3: temporal filtering of a raw result into the outcome.
+                 raw: SolvedFrame | CompensationResult) -> StreamFrameResult:
+        """Phase 3: temporal filtering of a frame's solution into the
+        outcome.
 
         Smooths / slew-limits the requested backlight factor (or snaps it on
         a cut when ``snap_on_scene_change`` is set), re-derives the
         transformation at the applied factor when enabled, and updates the
-        session counters.  Must run in ``begin`` order.
+        session counters.  ``raw`` is the frame's
+        :class:`~repro.api.types.SolvedFrame`, applied here only when no
+        re-derivation replaces it, or its already applied raw result.  Must
+        run in ``begin`` order.
         """
         with self._lock:
+            if isinstance(raw, SolvedFrame):
+                requested = raw.solution.backlight_factor
+                self._engine._note_processed()
+            else:
+                requested = raw.backlight_factor
             previous = self.smoother.current
             if self.snap_on_scene_change and plan.scene_change:
                 # a cut masks the luminance jump: the flicker bound need not
                 # apply across it, so jump straight to the new target
-                self.smoother.reset(raw.backlight_factor)
+                self.smoother.reset(requested)
                 applied = self.smoother.current
             else:
-                applied = self.smoother.update(raw.backlight_factor)
+                applied = self.smoother.update(requested)
 
-            result = raw
+            result = None
             applied_factor = applied
-            if self.rederive and abs(applied - raw.backlight_factor) > 1e-9:
+            moved = self.rederive and abs(applied - requested) > 1e-9
+            # a re-derivation whose quantized factor breaks the flicker
+            # bound is discarded below: skip one the algorithm knows would
+            realized = (self._algorithm.realized_backlight(applied)
+                        if moved else None)
+            if moved and (realized is None or self.smoother.within_limit(
+                    realized, reference=previous)):
                 try:
                     candidate = self._algorithm.at_backlight(
                         plan.grayscale, applied,
@@ -343,6 +363,9 @@ class StreamSession:
                                                         reference=previous):
                         result = candidate
                         applied_factor = quantized
+            if result is None:
+                result = (raw.apply(self._algorithm, self._max_distortion)
+                          if isinstance(raw, SolvedFrame) else raw)
 
             self._frames += 1
             if plan.needs_solve:
@@ -353,7 +376,7 @@ class StreamSession:
                 self._scene_changes += 1
             return StreamFrameResult(
                 result=result,
-                requested_backlight=raw.backlight_factor,
+                requested_backlight=requested,
                 applied_backlight=applied_factor,
                 scene_change=plan.scene_change,
                 reused=not plan.needs_solve,
@@ -365,7 +388,7 @@ class StreamSession:
     def close(self) -> None:
         """Stop accepting frames (idempotent).
 
-        A frame whose :meth:`begin` already ran may still :meth:`compute`
+        A frame whose :meth:`begin` already ran may still :meth:`solve`
         and :meth:`complete` — closing fences new frames, it does not
         abandon the one in flight (which is why the held solution is kept:
         a fast-path frame planned before the close must still replay it).

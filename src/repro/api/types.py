@@ -17,13 +17,15 @@ single contract they are all normalized to:
 * :class:`CompensationResult` — the full per-image outcome: the solution
   replayed onto a concrete image, with the achieved distortion and the
   power accounting.
+* :class:`SolvedFrame` — one image's solution before it is applied, so a
+  stream session applies it only when it keeps the raw result.
 * :class:`StreamFrameResult` — a result wrapped with the temporal-filter
   bookkeeping of :meth:`repro.api.engine.Engine.process_stream`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from repro.core.transforms import PixelTransform
@@ -34,6 +36,7 @@ from repro.imaging.image import Image
 __all__ = [
     "CompensationSolution",
     "CompensationResult",
+    "SolvedFrame",
     "StreamFrameResult",
 ]
 
@@ -153,6 +156,50 @@ class CompensationResult:
             "distortion_percent": self.distortion,
             "power_saving_percent": self.power_saving_percent,
         }
+
+
+@dataclass(frozen=True)
+class SolvedFrame:
+    """One image's solution, not yet applied to the image.
+
+    :meth:`Engine.solve_batch <repro.api.engine.Engine.solve_batch>` returns
+    one per image.  A stream session needs a frame's raw result only when no
+    re-derivation at the smoothed backlight factor replaces it, so
+    :meth:`~repro.api.session.StreamSession.complete` applies the solution
+    only then.
+
+    Attributes
+    ----------
+    image:
+        The grayscale image the solution is applied to.
+    solution:
+        Its solution, possibly from the cache.
+    from_cache, replayed:
+        The flags the applied result carries (see
+        :class:`CompensationResult`).
+    result:
+        The applied result when the solve already measured the solution on
+        :attr:`image` (a ``hebs-adaptive`` search ends on such a probe),
+        else ``None``.
+    """
+
+    image: Image
+    solution: CompensationSolution
+    from_cache: bool = False
+    replayed: bool = False
+    result: CompensationResult | None = None
+
+    def apply(self, algorithm, max_distortion: float) -> CompensationResult:
+        """The applied result: :attr:`result`, or ``algorithm``'s
+        ``apply_solution`` of the solution on the image, with the flags."""
+        result = self.result
+        if result is None:
+            result = algorithm.apply_solution(self.solution, self.image,
+                                              max_distortion=max_distortion)
+        if self.from_cache or self.replayed:
+            result = replace(result, from_cache=self.from_cache,
+                             replayed=self.replayed)
+        return result
 
 
 @dataclass(frozen=True)

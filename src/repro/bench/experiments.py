@@ -72,7 +72,7 @@ def table1_power_saving(
     are ``image`` and one ``saving@D%`` column per distortion level.
 
     ``adaptive=True`` (the default) selects the dynamic range per image by
-    bisection on the measured distortion — the offline selection implied by
+    a search on the measured distortion — the offline selection implied by
     the per-image spread of the paper's Table 1.  ``adaptive=False`` uses the
     global characteristic curve (the real-time flow of Fig. 4), in which case
     every image gets the same dynamic range for a given budget.

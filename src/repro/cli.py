@@ -581,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="registered algorithm to run (default: hebs)")
     process.add_argument("--adaptive", action="store_true",
                          help="shorthand for --algorithm hebs-adaptive "
-                              "(per-image range bisection)")
+                              "(per-image range search)")
     process.add_argument("--ambient-lux", type=float, default=None,
                          help="ambient illuminance (lux): derive the budget "
                               "from the dynamic-budget policy instead of "

@@ -105,7 +105,7 @@ class LocalCompensation:
     applying the solution's LUT.  For the histogram-driven techniques
     (``hebs``, the DLS variants, ``cbcs``) it is bit-identical to what the
     server would have produced from the full image; for ``hebs-adaptive``
-    the server-side bisection measured distortion on a histogram-realizing
+    the server-side range search measured distortion on a histogram-realizing
     stand-in, so its operating point approximates (rather than reproduces)
     a full-image solve — see :meth:`Engine.solve
     <repro.api.engine.Engine.solve>`.
@@ -323,7 +323,7 @@ class Client:
         techniques (``hebs``, DLS, ``cbcs``) the locally produced output is
         bit-identical to a server-side :meth:`process <Client.process>` of
         the same image (``hebs-adaptive`` approximates its per-image
-        bisection — see :class:`LocalCompensation`).
+        range search — see :class:`LocalCompensation`).
         """
         grayscale = image.to_grayscale()
         solution = self.solve(Histogram.of_image(grayscale), max_distortion,

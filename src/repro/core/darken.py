@@ -17,12 +17,12 @@ clamps it against the identity:
 
 which is monotone (the pointwise minimum of monotone maps), never brightens
 any pixel (so emissive power can only fall), and is pointwise non-decreasing
-in ``R`` (``ghe_R`` scales linearly with ``R``), so distortion is weakly
-decreasing in ``R`` and the budget feasibility boundary can be found by
-integer bisection — the exact search structure of
-:meth:`repro.core.pipeline.HEBS.process_adaptive` and
-:func:`repro.baselines.policy.find_minimum_backlight`, pointed at a range
-instead of a backlight factor.
+in ``R`` (``ghe_R`` scales linearly with ``R``).  Distortion usually falls
+as ``R`` grows, but not monotonically, so the range is chosen by the
+bracketing integer search :meth:`repro.core.pipeline.HEBS.process_adaptive`
+also uses (:func:`repro.core.search.bracket_search`): the selected ``R`` was
+probed within budget, and it is either the most aggressive range allowed
+(``min_range``) or ``R - 1`` was probed over budget.
 
 The solve/apply split mirrors HEBS (paper Fig. 4): :meth:`ContentDarkener.solve`
 consumes only the histogram (a bare histogram is realized via
@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.core.equalization_variants import get_equalizer
 from repro.core.histogram import Histogram
+from repro.core.search import bracket_search
 from repro.core.transforms import LUTTransform
 from repro.display.oled import (
     OLEDDisplayPowerModel,
@@ -82,8 +83,8 @@ def darkening_transform(histogram: Histogram, target_range: int,
     equalized = get_equalizer(equalization)(histogram, 0, target_range)
     table = np.asarray(equalized.transform.table, dtype=np.float64)
     identity = np.linspace(0.0, 1.0, levels)
-    return LUTTransform(tuple(float(v)
-                              for v in np.minimum(table, identity)))
+    # the minimum of two normalized monotone tables is one too
+    return LUTTransform._from_valid(np.minimum(table, identity))
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ class ContentDarkener:
         or ``"clipped"``; ``"bbhe"`` splits around the mean and does not
         target ``[0, R]``'s darkening semantics, so it is rejected).
     min_range:
-        Most aggressive ``R`` the bisection may select; guards the
+        Most aggressive ``R`` the search may select; guards the
         degenerate all-black LUT.
     safety_margin:
         Multiplier (``<= 1``) on the budget used *during* range selection.
@@ -227,41 +228,33 @@ class ContentDarkener:
 
     def select_range(self, source: Image | Histogram,
                      max_distortion: float) -> int | None:
-        """Smallest feasible ``R`` for the budget, or ``None`` if none is.
+        """A feasible ``R`` for the budget, or ``None`` if ``levels - 1``
+        is not.
 
         Distortion is probed on the canonical image realizing the
         histogram, so the selection — like the whole solve — is a pure
-        function of (histogram, budget) and therefore cacheable.  The probe
-        exploits that distortion is weakly decreasing in ``R`` (the family
-        is pointwise non-decreasing in ``R``) to run an integer bisection,
-        the HEBS ``process_adaptive`` search pointed at a range.
+        function of (histogram, budget) and therefore cacheable.  The
+        search (:func:`~repro.core.search.bracket_search`) probes
+        ``levels - 1``, then ``min_range`` (returned when feasible), then
+        bisects between them.  Distortion is not monotone in ``R``, so the
+        result is not always the smallest feasible ``R``: it is
+        ``min_range``, or an ``R`` whose probe met the budget while the
+        probe of ``R - 1`` did not.
         """
         if max_distortion < 0:
             raise ValueError("max_distortion must be non-negative")
         histogram = self._histogram_of(source)
         realized = histogram.to_image()
         budget = max_distortion * self.safety_margin
-        levels = histogram.levels
+        gentlest = histogram.levels - 1
 
-        def distortion_at(target_range: int) -> float:
+        def feasible(target_range: int) -> bool:
             transform = self.darkening_transform(histogram, target_range)
-            return float(self.measure(realized, transform.apply(realized)))
+            return float(self.measure(realized,
+                                      transform.apply(realized))) <= budget
 
-        gentlest = levels - 1
-        if distortion_at(gentlest) > budget:
-            return None                      # even R = L-1 overshoots
-        lowest = min(self.min_range, gentlest)
-        if distortion_at(lowest) <= budget:
-            return lowest
-        # invariant: distortion(low) > budget >= distortion(high)
-        low, high = lowest, gentlest
-        while high - low > 1:
-            middle = (low + high) // 2
-            if distortion_at(middle) <= budget:
-                high = middle
-            else:
-                low = middle
-        return high
+        return bracket_search(feasible, min(self.min_range, gentlest),
+                              gentlest, 1, probe_low=True)
 
     def solve(self, source: Image | Histogram,
               max_distortion: float) -> DarkenSolution:

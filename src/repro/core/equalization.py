@@ -115,7 +115,8 @@ def equalization_transform(histogram: Histogram, g_min: int,
     n_pixels = cumulative[-1]
     mapped_levels = g_min + (g_max - g_min) * cumulative / n_pixels
     normalized = np.clip(mapped_levels / (levels - 1), 0.0, 1.0)
-    return LUTTransform(tuple(float(v) for v in normalized))
+    # normalized and non-decreasing by construction
+    return LUTTransform._from_valid(normalized)
 
 
 def equalization_objective(transformed: CumulativeHistogram, g_min: int,

@@ -63,7 +63,7 @@ def _result_from_lut(histogram: Histogram, output_levels: np.ndarray,
     # enforce monotonicity (numerical guard; all variants are monotone by
     # construction)
     continuous = np.maximum.accumulate(continuous)
-    transform = LUTTransform(tuple(continuous / (levels - 1)))
+    transform = LUTTransform._from_valid(continuous / (levels - 1))
 
     rounded = np.rint(continuous).astype(np.int64)
     transformed_counts = np.zeros(levels, dtype=np.int64)

@@ -20,6 +20,8 @@ enough to run per frame.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -141,13 +143,14 @@ class _AbscissaTerms(NamedTuple):
     """The x-only terms of the chord errors over every pair ``i < j``.
 
     Pairs run in row-major order (by ``i``, then ``j``).  ``lower`` is each
-    pair's flat index into an ``n x n`` matrix at ``[j, i]``.  All arrays
-    are read-only.
+    pair's flat index into an ``n x n`` matrix at ``[j, i]``; ``j1`` is
+    ``j + 1``.  All arrays are read-only.
     """
 
     n: int
     i: np.ndarray
     j: np.ndarray
+    j1: np.ndarray
     x_i: np.ndarray
     dx: np.ndarray
     sum_x: np.ndarray
@@ -186,8 +189,8 @@ def _abscissa_terms(abscissa: bytes) -> _AbscissaTerms:
         dx = x[j] - x_i
         sum_b2 = sum_xx - 2.0 * x_i * sum_x + count * x_i * x_i
         count_x_i = count * x_i
-    terms = _AbscissaTerms(n, i, j, x_i, dx, sum_x, count, count_x_i, sum_b2,
-                           j == i + 1, j * n + i)
+    terms = _AbscissaTerms(n, i, j, j + 1, x_i, dx, sum_x, count, count_x_i,
+                           sum_b2, j == i + 1, j * n + i)
     for array in terms[1:]:          # every field but n
         array.setflags(write=False)
     return terms
@@ -199,7 +202,7 @@ def _prefix_sums(values: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(values)])
 
 
-def _pair_errors(x: np.ndarray, y: np.ndarray,
+def _pair_errors(x: np.ndarray, y: np.ndarray, scratch: dict,
                  path: np.ndarray | None = None
                  ) -> tuple[_AbscissaTerms, np.ndarray]:
     """Chord errors of every pair ``i < j`` (in :class:`_AbscissaTerms`
@@ -209,36 +212,117 @@ def _pair_errors(x: np.ndarray, y: np.ndarray,
     its consecutive entries, in path order.  Each error is computed by the
     same element-wise arithmetic either way, so a chord's error along a
     path equals its entry in the full set bit for bit.
+
+    The errors are returned in ``scratch`` (see :func:`_scratch`): use
+    them before the scratch computes anything else.
     """
     terms = _abscissa_terms(x.tobytes())
     if path is not None:
         terms = terms.along(path)
-    i, j1 = terms.i, terms.j + 1
+    i, j, j1 = terms.i, terms.j, terms.j1
     prefix_y = _prefix_sums(y)
     prefix_yy = _prefix_sums(y * y)
     prefix_xy = _prefix_sums(x * y)
-    sum_y = prefix_y[j1] - prefix_y[i]
-    sum_yy = prefix_yy[j1] - prefix_yy[i]
-    sum_xy = prefix_xy[j1] - prefix_xy[i]
+    # every pair-sized intermediate lives in the scratch: a fresh 255 KB
+    # temporary per operation (256 levels) costs twice the operation
+    kind = "pairs" if path is None else "path"
+    sum_y, sum_yy, sum_xy, y_i, slope, sum_a2, sum_ab, work = \
+        _buffers(scratch, kind, i.shape, 8)
+    mask, = _buffers(scratch, kind + "_mask", i.shape, 1, dtype=bool)
+    _gathered_difference(prefix_y, j1, i, sum_y, work)
+    _gathered_difference(prefix_yy, j1, i, sum_yy, work)
+    _gathered_difference(prefix_xy, j1, i, sum_xy, work)
+    np.take(y, i, out=y_i, mode="clip")
 
-    x_i, y_i, y_j = terms.x_i, y[i], y[terms.j]
+    # the operations (and their order) of the closed forms in the comments
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        slope = (y_j - y_i) / terms.dx
+        # slope = (y_j - y_i) / dx
+        np.take(y, j, out=slope, mode="clip")
+        np.subtract(slope, y_i, out=slope)
+        np.divide(slope, terms.dx, out=slope)
 
-        sum_a2 = sum_yy - 2.0 * y_i * sum_y + terms.count * y_i * y_i
-        sum_ab = (sum_xy - x_i * sum_y - y_i * terms.sum_x
-                  + terms.count_x_i * y_i)
+        # sum_a2 = sum_yy - 2.0 * y_i * sum_y + count * y_i * y_i
+        np.multiply(2.0, y_i, out=sum_a2)
+        np.multiply(sum_a2, sum_y, out=sum_a2)
+        np.subtract(sum_yy, sum_a2, out=sum_a2)
+        np.multiply(terms.count, y_i, out=work)
+        np.multiply(work, y_i, out=work)
+        np.add(sum_a2, work, out=sum_a2)
 
-        errors = sum_a2 - 2.0 * slope * sum_ab + slope * slope * terms.sum_b2
+        # sum_ab = sum_xy - x_i * sum_y - y_i * sum_x + count_x_i * y_i
+        np.multiply(terms.x_i, sum_y, out=sum_ab)
+        np.subtract(sum_xy, sum_ab, out=sum_ab)
+        np.multiply(y_i, terms.sum_x, out=work)
+        np.subtract(sum_ab, work, out=sum_ab)
+        np.multiply(terms.count_x_i, y_i, out=work)
+        np.add(sum_ab, work, out=sum_ab)
+
+        # errors = sum_a2 - 2.0 * slope * sum_ab + slope * slope * sum_b2
+        np.multiply(2.0, slope, out=work)
+        np.multiply(work, sum_ab, out=work)
+        np.subtract(sum_a2, work, out=sum_a2)
+        np.multiply(slope, slope, out=work)
+        np.multiply(work, terms.sum_b2, out=work)
+        errors = np.add(sum_a2, work, out=sum_a2)
 
     # Adjacent breakpoints form a chord with no interior points: the error is
     # exactly zero, but the formula above can produce 0 * inf = nan when two
     # x values are almost coincident (huge slope).  Force the exact value.
-    errors = np.where(terms.adjacent, 0.0, errors)
+    np.copyto(errors, 0.0, where=terms.adjacent)
     # Any other non-finite entry (overflowing slope across a near-duplicate
     # abscissa) is treated as an unusable chord.
-    errors = np.where(np.isfinite(errors), errors, np.inf)
-    return terms, np.maximum(errors, 0.0)  # clamp tiny negative round-off
+    np.isfinite(errors, out=mask)
+    np.logical_not(mask, out=mask)
+    np.copyto(errors, np.inf, where=mask)
+    # clamp tiny negative round-off
+    return terms, np.maximum(errors, 0.0, out=errors)
+
+
+#: Idle scratch memory of the PLC solver (see :func:`_scratch`), and the
+#: lock guarding it.  At most one set (~3 MB at 256 levels) stays allocated
+#: between solves: a set per solving thread would keep that much alive in
+#: every worker of a serving process.
+_idle_scratch: list[dict] = []
+_idle_scratch_lock = threading.Lock()
+
+
+@contextmanager
+def _scratch():
+    """Scratch memory for one solve, reused across solves.
+
+    Solve threads run DPs concurrently, so each solve borrows a set no other
+    solve holds: the idle one, or a new one when another solve has it.
+    """
+    with _idle_scratch_lock:
+        scratch = _idle_scratch.pop() if _idle_scratch else {}
+    try:
+        yield scratch
+    finally:
+        with _idle_scratch_lock:
+            if not _idle_scratch:
+                _idle_scratch.append(scratch)
+
+
+def _buffers(scratch: dict, kind: str, shape: tuple[int, ...], count: int,
+             dtype=np.float64) -> tuple[np.ndarray, ...]:
+    """``count`` arrays of ``shape`` from ``scratch``; their contents are
+    garbage.  One set per ``kind``, replaced when the shape changes (one
+    bit depth at a time stays allocated)."""
+    arrays = scratch.get(kind)
+    if arrays is None or arrays[0].shape != shape:
+        arrays = scratch[kind] = tuple(np.empty(shape, dtype=dtype)
+                                       for _ in range(count))
+    return arrays
+
+
+def _gathered_difference(prefix: np.ndarray, stop: np.ndarray,
+                         start: np.ndarray, out: np.ndarray,
+                         work: np.ndarray) -> None:
+    """``out = prefix[stop] - prefix[start]`` without temporaries (the
+    indices are in range: ``clip`` mode only skips the bounds check)."""
+    np.take(prefix, stop, out=out, mode="clip")
+    np.take(prefix, start, out=work, mode="clip")
+    np.subtract(out, work, out=out)
 
 
 def chord_error_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -253,9 +337,10 @@ def chord_error_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    terms, errors = _pair_errors(x, y)
-    matrix = np.zeros((terms.n, terms.n), dtype=np.float64)
-    matrix[terms.i, terms.j] = errors
+    with _scratch() as scratch:
+        terms, errors = _pair_errors(x, y, scratch)
+        matrix = np.zeros((terms.n, terms.n), dtype=np.float64)
+        matrix[terms.i, terms.j] = errors
     return matrix
 
 
@@ -314,22 +399,24 @@ def _coarsen(x: np.ndarray, y: np.ndarray, n_segments: int
     # chords[j, i]: error of the chord i -> j, infinite unless i < j (only
     # forward chords are allowed).  Stored with the end point as the row so
     # each DP step reduces over contiguous rows.
-    terms, errors = _pair_errors(x, y)
-    chords = np.full((n, n), np.inf)
-    chords.ravel()[terms.lower] = errors
-
     # cost[s, j]: minimal summed error covering breakpoints 0..j with exactly
     # s chords ending at breakpoint j.
     cost = np.full((n_segments + 1, n), np.inf)
     parent = np.full((n_segments + 1, n), -1, dtype=np.int64)
     cost[0, 0] = 0.0
     ends = np.arange(n)
-    for s in range(1, n_segments + 1):
-        # candidate[j, i] = cost of reaching i with s-1 chords + chord i->j
-        candidate = chords + cost[s - 1]
-        best_parent = np.argmin(candidate, axis=1)
-        cost[s] = candidate[ends, best_parent]
-        parent[s] = best_parent
+    with _scratch() as scratch:
+        terms, errors = _pair_errors(x, y, scratch)
+        chords, candidate = _buffers(scratch, "matrices", (n, n), 2)
+        chords.fill(np.inf)
+        chords.ravel()[terms.lower] = errors
+        for s in range(1, n_segments + 1):
+            # candidate[j, i] = cost of reaching i with s-1 chords + chord
+            # i->j
+            np.add(chords, cost[s - 1], out=candidate)
+            best_parent = np.argmin(candidate, axis=1)
+            cost[s] = candidate[ends, best_parent]
+            parent[s] = best_parent
 
     # Use *at most* n_segments chords: because the approximation must
     # interpolate a subset of the original breakpoints (Eq. 8), adding a
@@ -399,11 +486,12 @@ def coarsen_through(transform: LUTTransform,
             f"got {tuple(breakpoint_indices)}")
     x = np.arange(n, dtype=np.float64)
     y = _lut_ordinates(transform, n)
-    _, errors = _pair_errors(x, y, path)
     total_error = 0.0
-    for error in errors:
-        # the DP's accumulation: cost[s] = chord + cost[s - 1]
-        total_error = float(error) + total_error
+    with _scratch() as scratch:
+        _, errors = _pair_errors(x, y, scratch, path)
+        for error in errors:
+            # the DP's accumulation: cost[s] = chord + cost[s - 1]
+            total_error = float(error) + total_error
     return _curve_through(x, y, path, total_error)
 
 

@@ -87,14 +87,19 @@ class BacklightSmoother:
         """Jump immediately to ``value`` (or the initial factor)."""
         self._current = float(self.initial if value is None else value)
 
+    def within_limit(self, value: float,
+                     reference: float | None = None) -> bool:
+        """Whether ``value`` honors the flicker bound: within ``max_step``
+        of ``reference`` (the current factor when omitted)."""
+        anchor = self._current if reference is None else float(reference)
+        return abs(value - anchor) <= self.max_step + 1e-12
+
     def reset_within_limit(self, value: float,
                            reference: float | None = None) -> bool:
         """A guarded :meth:`reset`: jump to ``value`` only when it honors
-        the flicker bound — within ``max_step`` of ``reference`` (the
-        current factor when omitted).  Returns whether the jump was taken;
-        on rejection the state is unchanged."""
-        anchor = self._current if reference is None else float(reference)
-        if abs(value - anchor) > self.max_step + 1e-12:
+        the flicker bound (:meth:`within_limit`).  Returns whether the jump
+        was taken; on rejection the state is unchanged."""
+        if not self.within_limit(value, reference):
             return False
         self._current = float(value)
         return True
@@ -221,7 +226,7 @@ class TemporalBacklightController:
     scene_detector:
         Scene-change detector (defaults to an L1 threshold of 0.25).
     adaptive:
-        Whether the per-frame range selection bisects on the measured
+        Whether the per-frame range selection searches on the measured
         distortion (slower, tighter) or uses the characteristic curve.
     """
 

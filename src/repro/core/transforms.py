@@ -239,6 +239,15 @@ class LUTTransform(PixelTransform):
             raise ValueError("LUT must be non-decreasing (monotone transform)")
         object.__setattr__(self, "table", tuple(float(v) for v in table))
 
+    @classmethod
+    def _from_valid(cls, table: np.ndarray) -> "LUTTransform":
+        """The LUT of a float64 array its caller built valid (1-D, at least
+        two entries, normalized and non-decreasing), without re-checking it.
+        Equal to ``LUTTransform(tuple(table))``."""
+        lut = object.__new__(cls)
+        object.__setattr__(lut, "table", tuple(table.tolist()))
+        return lut
+
     @property
     def levels(self) -> int:
         """Number of input levels the table covers."""

@@ -33,6 +33,7 @@ from repro.quality.metrics import (
 )
 from repro.quality.ssim import ssim_map
 from repro.quality.uqi import (
+    _EPSILON,
     UQIReference,
     _sliding_window_sums,
     uqi_components,
@@ -42,6 +43,7 @@ from repro.quality.uqi import (
 
 __all__ = [
     "effective_distortion",
+    "RangeDistortion",
     "DistortionMeasure",
     "get_measure",
     "available_measures",
@@ -70,7 +72,7 @@ class _PreparedReference:
 
 
 #: Prepared originals kept by :func:`effective_distortion`, least recently
-#: used first.  A bisection probes one original about ten times and a
+#: used first.  A range search probes one original up to ten times and a
 #: serving process re-measures a repeated image once per request; eight
 #: entries cover two interleaved callers and a small corpus.  At 128x128
 #: an entry holds about 0.5 MB.
@@ -179,24 +181,152 @@ def effective_distortion(original: Image, transformed: Image,
         raise ValueError("contrast_loss_exponent must be in [0, 1]")
     prepared = _prepared_reference(original, window, hvs_model or HVSModel())
     components = uqi_components(prepared.uqi, transformed)
-    structure = np.clip(components.correlation, 0.0, 1.0)
-    luminance = np.clip(components.luminance, 0.0, 1.0) ** luminance_exponent
+    variance = prepared.uqi.variance
+    return _pooled_distortion(
+        np.clip(components.correlation, 0.0, 1.0), components.luminance,
+        components.contrast,
+        (variance > 1e-12) & (components.candidate_variance < variance),
+        prepared.weights, prepared.weight_total, luminance_exponent,
+        contrast_loss_exponent)
 
+
+def _pooled_distortion(structure: np.ndarray, luminance: np.ndarray,
+                       contrast: np.ndarray, lost: np.ndarray,
+                       weights: np.ndarray, weight_total: float,
+                       luminance_exponent: float,
+                       contrast_loss_exponent: float) -> float:
+    """Steps 2 and 3 of :func:`effective_distortion`: adapt the per-window
+    factors, weight them and pool.  ``structure`` is the correlation factor
+    already clipped to ``[0, 1]``; ``lost`` marks the windows whose
+    contrast fell."""
+    luminance = np.clip(luminance, 0.0, 1.0) ** luminance_exponent
     # Contrast is only charged where it was lost.  The Wang-Bovik contrast
     # factor 2*sx*sy/(sx^2+sy^2) is symmetric in gain and loss, so detect
     # loss separately: wherever the transformed window is at least as
     # contrasty as the original, or the original window is flat (nothing to
     # lose), the factor is forced to 1 (full adaptation).
-    contrast = np.clip(components.contrast, 0.0, 1.0)
-    variance = prepared.uqi.variance
-    lost = (variance > 1e-12) & (components.candidate_variance < variance)
+    contrast = np.clip(contrast, 0.0, 1.0)
     contrast = np.where(lost, contrast, 1.0) ** contrast_loss_exponent
 
     quality = structure * luminance * contrast
-    weighted_quality = float(
-        np.sum(quality * prepared.weights) / prepared.weight_total
-    )
+    weighted_quality = float(np.sum(quality * weights) / weight_total)
     return max(0.0, 100.0 * (1.0 - weighted_quality))
+
+
+def _window_sums_every_other(values: np.ndarray,
+                             window: int) -> np.ndarray:
+    """The ``[::2, ::2]`` subgrid of :func:`_sliding_window_sums` over the
+    last two axes of ``values``, for an even ``window``: sums of 2x2 blocks,
+    then of ``window // 2`` consecutive blocks in each axis.  At 128x128
+    this is about four times cheaper than the summed-area table's full
+    grid (0.15 against 0.6 ms for the three candidate-side planes)."""
+    rows, cols = (size // 2 * 2 for size in values.shape[-2:])
+    blocks = values[..., 0:rows:2, :] + values[..., 1:rows:2, :]
+    blocks = blocks[..., 0:cols:2] + blocks[..., 1:cols:2]
+    count_rows, count_cols = ((size - window) // 2 + 1
+                              for size in values.shape[-2:])
+    total = blocks[..., 0:count_rows, :]
+    for offset in range(1, window // 2):
+        total = total + blocks[..., offset:offset + count_rows, :]
+    sums = total[..., 0:count_cols]
+    for offset in range(1, window // 2):
+        sums = sums + total[..., offset:offset + count_cols]
+    return sums
+
+
+class RangeDistortion:
+    """``D~(R)``: :func:`effective_distortion` (with its default window,
+    HVS model and exponents) of a range-affine transform, in closed form in
+    the range ``R``.
+
+    The candidate is the original pushed through the per-level map
+    ``offset + R * shape[level]`` (normalized values), *without* rounding
+    to display levels.  Its window mean is then affine in ``R``, its window
+    variance scales by ``R**2`` and its covariance with the original by
+    ``R``, so the correlation factor does not depend on ``R`` and the
+    luminance and contrast factors follow from three window arrays computed
+    once.  The adaptation, weighting and pooling are the measure's own
+    (:func:`_pooled_distortion`).
+
+    ``D~`` differs from the measured distortion of the displayed (rounded)
+    image by a fraction of a distortion point; it is meant to steer a
+    search, not to answer one.  It pools every other window in each axis,
+    which makes the set-up and each evaluation several times cheaper than
+    the measure's full grid.
+    """
+
+    def __init__(self, original: Image, offset: float,
+                 shape: np.ndarray) -> None:
+        window = 8                       # effective_distortion's default
+        original = original.to_grayscale()
+        if original.levels != len(shape):
+            raise ValueError(
+                f"shape has {len(shape)} levels, the image {original.levels}")
+        prepared = _prepared_reference(original, window, HVSModel())
+        corner = (slice(None, None, 2),) * 2
+        mean_x = prepared.uqi.mean[corner]
+        var_x = prepared.uqi.variance[corner]
+        weights = prepared.weights[corner]
+
+        # the candidate-side sums at R = 1 and offset 0: u, u^2 and x * u
+        stack = np.empty((3,) + prepared.uqi.values.shape)
+        np.take(np.asarray(shape, dtype=np.float64), original.pixels,
+                out=stack[0])
+        np.multiply(stack[0], stack[0], out=stack[1])
+        np.multiply(prepared.uqi.values, stack[0], out=stack[2])
+        sums = _window_sums_every_other(stack, window) / float(window
+                                                                 * window)
+        mean_u = sums[0]
+        var_u = np.maximum(sums[1] - mean_u**2, 0.0)
+        cov_u = sums[2] - mean_x * mean_u        # the offset cancels
+
+        # flatness is decided at R = 1; the correlation factor
+        # cov / (sx * sy) does not depend on R
+        std_x = np.sqrt(var_x)
+        std_u = np.sqrt(var_u)
+        flat_x = var_x < _EPSILON
+        flat_u = var_u < _EPSILON
+        generic = ~(flat_x | flat_u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            correlation = np.where(generic, cov_u / (std_x * std_u),
+                                   np.where(flat_x ^ flat_u, 0.0, 1.0))
+
+        # each evaluation runs in single precision: D~ only steers, and
+        # halving the bytes makes it about twice as fast
+        def single(array):
+            return np.ascontiguousarray(array, dtype=np.float32)
+
+        self._structure = single(np.clip(correlation, 0.0, 1.0))
+        self._offset = float(offset)
+        self._mean_u = single(mean_u)
+        self._var_u = single(var_u)
+        self._two_mean_x = single(2.0 * mean_x)
+        self._mean_x_sq = single(mean_x**2)
+        self._var_x = single(var_x)
+        # the contrast factor 2 sx sy / (sx^2 + sy^2), with sy = R * su; a
+        # window where exactly one side is flat has factor 0 (the zero
+        # numerator), and one with a flat original is never charged (it is
+        # not lossable), so no case analysis is left per evaluation
+        self._two_std_xu = single(np.where(generic, 2.0 * std_x * std_u, 0.0))
+        self._lossable = var_x > 1e-12
+        self._weights = single(weights)
+        self._weight_total = float(np.sum(weights))
+
+    def __call__(self, target_range: float) -> float:
+        """``D~`` at range ``target_range``, in percent."""
+        mean_y = self._offset + target_range * self._mean_u
+        mean_sq = self._mean_x_sq + mean_y * mean_y
+        luminance = np.ones_like(mean_sq)
+        np.divide(self._two_mean_x * mean_y, mean_sq, out=luminance,
+                  where=mean_sq >= _EPSILON)
+        var_y = (target_range * target_range) * self._var_u
+        with np.errstate(divide="ignore", invalid="ignore"):
+            contrast = target_range * self._two_std_xu / (self._var_x + var_y)
+        return _pooled_distortion(
+            self._structure, luminance, contrast,
+            self._lossable & (var_y < self._var_x), self._weights,
+            self._weight_total, LUMINANCE_ADAPTATION_EXPONENT,
+            CONTRAST_LOSS_EXPONENT)
 
 
 def _uqi_distortion(original: Image, transformed: Image) -> float:

@@ -8,7 +8,8 @@ turns the (thread-safe) :class:`~repro.api.engine.Engine` into a service:
     :class:`RequestCoalescer` — work-conserving micro-batching: an idle
     worker takes a ``submit()`` (or a stream-session frame, via
     ``submit_frame``) at once, and what queues while every worker is busy
-    is claimed as one ``process_batch``, with a bounded queue and submit
+    is claimed as one ``process_batch`` (``solve_batch`` for session
+    frames), with a bounded queue and submit
     timeouts for backpressure
     (:class:`ServerOverloadedError` / :class:`ServerClosedError`).
 :mod:`repro.serve.server`

@@ -28,16 +28,19 @@ frames** (:meth:`RequestCoalescer.submit_frame`): a frame belonging to a
 long-lived :class:`~repro.api.session.StreamSession` served by the
 :class:`~repro.serve.server.SessionManager`.  Session frames from *many*
 sessions share the queue, and under load the micro-batches, with one-shot
-traffic — the frame's raw per-frame policy result comes out of the shared
-``process_batch`` call, and the session's temporal step
-(:meth:`~repro.api.session.StreamSession.complete`) runs in the worker
-afterwards.  Per-session frame order is preserved because the session
-manager keeps at most one frame of a session in flight; the flicker bound
-is enforced inside the session's own smoother, never here.
+traffic — the frames of a batch take their solutions from one shared
+:meth:`~repro.api.engine.Engine.solve_batch` call, and the session's
+temporal step (:meth:`~repro.api.session.StreamSession.complete`) runs in
+the worker afterwards; it applies a frame's solution only when no
+re-derivation at the smoothed backlight factor replaces it.  Per-session
+frame order is preserved because the session manager keeps at most one
+frame of a session in flight; the flicker bound is enforced inside the
+session's own smoother, never here.
 
-The coalescer is intentionally engine-agnostic: anything with a
-``process_batch(images, max_distortion, algorithm=...)`` method works, which
-is what the unit tests exploit.
+The coalescer is intentionally engine-agnostic for one-shot traffic:
+anything with a ``process_batch(images, max_distortion, algorithm=...)``
+method works, which is what the unit tests exploit; session frames also
+need ``solve_batch`` with the same signature.
 """
 
 from __future__ import annotations
@@ -121,12 +124,15 @@ class _PendingRequest:
         Algorithm *instances* group by identity, not by name: two clients
         may carry differently configured instances under one registry name,
         and batching them together would run one client's images through
-        the other client's configuration.
+        the other client's configuration.  Session frames ride apart from
+        one-shot requests: they take unapplied solutions
+        (``solve_batch``), one-shot requests applied results
+        (``process_batch``).
         """
         algorithm = self.algorithm
         if isinstance(algorithm, CompensationAlgorithm):
-            return (("instance", id(algorithm)), self.max_distortion)
-        return (algorithm, self.max_distortion)
+            algorithm = ("instance", id(algorithm))
+        return (algorithm, self.max_distortion, self.session is not None)
 
 
 class RequestCoalescer:
@@ -322,7 +328,7 @@ class RequestCoalescer:
         One-shot requests resolve to the raw engine result.  Session frames
         first :meth:`~repro.api.session.StreamSession.begin` (advancing the
         session's scene/rolling state, deciding whether the frame needs a
-        solve), then take their raw result from the shared engine batch
+        solve), then take their solution from the shared engine batch
         (batchable frames) or from the session itself (fast-path frames),
         and finally :meth:`~repro.api.session.StreamSession.complete` the
         temporal step before the future resolves.
@@ -365,8 +371,10 @@ class RequestCoalescer:
 
         for members in groups.values():
             head = members[0]
+            batch = (self.engine.process_batch if head.session is None
+                     else self.engine.solve_batch)
             try:
-                results = self.engine.process_batch(
+                results = batch(
                     [member.plan.grayscale if member.plan is not None
                      else member.image for member in members],
                     head.max_distortion, algorithm=head.algorithm)
@@ -391,7 +399,8 @@ class RequestCoalescer:
 
     def _resolve(self, request: _PendingRequest, raw,
                  completed_at: float) -> None:
-        """Finish one RUNNING request with its raw engine result."""
+        """Finish one RUNNING request with its engine result (a session
+        frame's :class:`~repro.api.types.SolvedFrame` or raw result)."""
         if request.session is not None:
             try:
                 raw = request.session.complete(request.plan, raw)

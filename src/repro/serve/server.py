@@ -165,7 +165,10 @@ class ServerSession:
         return self._stream.begin(frame)
 
     def compute(self, plan):
-        return self._stream.compute(plan)
+        """The frame's solution (:meth:`StreamSession.solve
+        <repro.api.session.StreamSession.solve>`), applied by
+        :meth:`complete` only when it keeps it."""
+        return self._stream.solve(plan)
 
     def complete(self, plan, raw):
         return self._stream.complete(plan, raw)

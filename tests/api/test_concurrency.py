@@ -8,6 +8,7 @@ counters, internally consistent statistics, and bitwise-identical results
 versus a serial run.
 """
 
+import sys
 import threading
 import time
 
@@ -110,6 +111,43 @@ class TestEngineHammer:
         # every batch replays half its images (duplicates within the batch)
         assert stats.replays == THREADS * len(small_suite)
         assert stats.lookups == stats.hits + stats.misses
+
+    def test_hammer_adaptive_handoff(self, pipeline, small_suite):
+        """Cacheless ``hebs-adaptive``: every request solves on its own
+        thread and takes its own search's last probe, never another
+        thread's, under a one-microsecond switch interval."""
+        algorithm = HEBSAlgorithm(pipeline, adaptive=True)
+        images = list(small_suite.values())
+        serial = Engine(HEBSAlgorithm(pipeline, adaptive=True), cache_size=0)
+        expected = [serial.process(image, 10.0) for image in images]
+        engine = Engine(algorithm, cache_size=0)
+        outputs: dict[int, list] = {}
+
+        def worker(offset: int) -> None:
+            order = [(offset + step) % len(images)
+                     for step in range(len(images))]
+            outputs[offset] = [(k, engine.process(images[k], 10.0))
+                               for k in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(index,))
+                       for index in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(outputs) == list(range(6))
+        for outcome in outputs.values():
+            for k, result in outcome:
+                assert result == expected[k]
+                assert result.original is images[k].to_grayscale()
+                assert np.array_equal(result.output.pixels,
+                                      expected[k].output.pixels)
 
     def test_cold_solve_race_coalesces(self, pipeline, lena):
         """Threads racing on one cold histogram must share a single solve."""

@@ -205,6 +205,115 @@ class TestCachedSolution:
         assert engine.cache_stats.lookups == 0
 
 
+def _count_measure(pipeline):
+    """Wrap the pipeline's distortion measure; returns the call log."""
+    measure, calls = pipeline._measure, []
+
+    def counted(original, candidate):
+        calls.append(1)
+        return measure(original, candidate)
+
+    pipeline._measure = counted
+    return calls
+
+
+class TestAdaptiveHandoff:
+    """A cold ``hebs-adaptive`` solve ends on an exact probe of the request's
+    pixels; the engine takes that result instead of re-applying and
+    re-measuring the chosen LUT."""
+
+    @pytest.mark.parametrize("budget", [0.0, 5.0, 10.0, 20.0])
+    def test_cold_process_measures_once_less(self, pipeline, small_suite,
+                                             budget):
+        for image in small_suite.values():
+            solver = HEBSAlgorithm(pipeline.with_config(), adaptive=True)
+            calls = _count_measure(solver.pipeline)
+            solution = solver.solve(image, budget)
+            searched = len(calls)
+            expected = solver.apply_solution(solution, image, budget)
+            assert len(calls) == searched + 1
+
+            algorithm = HEBSAlgorithm(pipeline.with_config(), adaptive=True)
+            calls = _count_measure(algorithm.pipeline)
+            served = Engine(algorithm).process(image, budget)
+            assert len(calls) == searched
+            assert served == expected
+            assert np.array_equal(served.output.pixels,
+                                  expected.output.pixels)
+            assert served.distortion == expected.distortion
+
+    def test_batch_hands_off_to_the_first_group_member_only(self, pipeline,
+                                                            lena, pout):
+        searched = 0
+        for image in (lena, pout):
+            solver = HEBSAlgorithm(pipeline.with_config(), adaptive=True)
+            calls = _count_measure(solver.pipeline)
+            solver.solve(image, 10.0)
+            searched += len(calls)
+
+        algorithm = HEBSAlgorithm(pipeline.with_config(), adaptive=True)
+        calls = _count_measure(algorithm.pipeline)
+        images = [lena, pout, lena, lena]
+        batch = Engine(algorithm, cache_size=0).process_batch(images, 10.0)
+        # the first member of each group takes its search's last probe;
+        # the two later lena members re-apply and re-measure
+        assert len(calls) == searched + 2
+        assert [result.replayed for result in batch] == [False, False,
+                                                         True, True]
+        for handed_off, replayed in ((batch[0], batch[2]),
+                                     (batch[0], batch[3])):
+            assert handed_off == replayed
+            assert np.array_equal(handed_off.output.pixels,
+                                  replayed.output.pixels)
+            assert handed_off.distortion == replayed.distortion
+
+    def test_takes_only_the_solved_pair_once(self, pipeline, lena, pout):
+        algorithm = HEBSAlgorithm(pipeline.with_config(), adaptive=True)
+        solution = algorithm.solve(lena, 10.0)
+        assert algorithm.take_solved_result(solution, pout) is None
+        # spent by the miss above
+        assert algorithm.take_solved_result(solution, lena) is None
+        solution = algorithm.solve(lena, 10.0)
+        taken = algorithm.take_solved_result(solution, lena)
+        assert taken == algorithm.apply_solution(solution, lena, 10.0)
+        assert algorithm.take_solved_result(solution, lena) is None
+
+    def test_solve_without_apply_keeps_nothing(self, pipeline, lena):
+        """``Engine.solve`` and ``prime`` never apply; the solve's measured
+        result must not outlive them on the solving thread."""
+        algorithm = HEBSAlgorithm(pipeline.with_config(), adaptive=True)
+        engine = Engine(algorithm)
+        engine.solve(Histogram.of_image(lena.to_grayscale()), 10.0)
+        assert getattr(algorithm._solved, "last", None) is None
+        assert engine.prime(lena, 5.0)
+        assert getattr(algorithm._solved, "last", None) is None
+
+
+class TestSolveBatch:
+    def test_applying_the_frames_is_process_batch(self, pipeline, lena,
+                                                  pout):
+        images = [lena, pout, lena]
+        expected = Engine(HEBSAlgorithm(pipeline)).process_batch(images,
+                                                                 10.0)
+        engine = Engine(HEBSAlgorithm(pipeline))
+        algorithm = engine.algorithm()
+        applied = []
+        apply_solution = algorithm.apply_solution
+        algorithm.apply_solution = lambda *args, **kwargs: applied.append(
+            1) or apply_solution(*args, **kwargs)
+        frames = engine.solve_batch(images, 10.0)
+        assert not applied and engine.processed == 0
+        assert [frame.replayed for frame in frames] == [False, False, True]
+        assert frames[2].solution is frames[0].solution
+        results = [frame.apply(algorithm, 10.0) for frame in frames]
+        assert results == expected
+        assert [result.replayed for result in results] == [
+            result.replayed for result in expected]
+        assert engine.solve_batch([lena], 10.0)[0].from_cache
+        with pytest.raises(ValueError):
+            engine.solve_batch([lena], -1.0)
+
+
 class TestInvariantSweep:
     @pytest.mark.parametrize("name", sorted(available_algorithms()))
     def test_invariants_hold_across_budgets(self, name, small_suite):

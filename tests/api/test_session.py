@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api.engine import Engine
-from repro.api.registry import HEBSAlgorithm
+from repro.api.registry import HEBSAlgorithm, available_algorithms, create
 from repro.api.session import SessionClosedError, StreamSession
 from repro.core.temporal import (
     BacklightSmoother,
@@ -193,6 +193,81 @@ class TestStreamSession:
         assert session.max_distortion == 12.5
         assert session.algorithm.name == "hebs"
         assert isinstance(session, StreamSession)
+
+
+def _record(algorithm, name):
+    """Wrap ``algorithm.<name>``; returns the list of its return values."""
+    method, returned = getattr(algorithm, name), []
+
+    def recorded(*args, **kwargs):
+        returned.append(method(*args, **kwargs))
+        return returned[-1]
+
+    setattr(algorithm, name, recorded)
+    return returned
+
+
+class TestUnappliedSolutions:
+    """A session applies a frame's own solution only when it keeps the raw
+    result, and skips a re-derivation it would discard."""
+
+    @pytest.mark.parametrize("max_step", [0.05, 0.002])
+    def test_applies_and_rederives_only_what_it_keeps(self, pipeline, clip,
+                                                      max_step):
+        expected = list(_legacy_process_stream(
+            Engine(HEBSAlgorithm(pipeline)), clip, 10.0,
+            smoother=BacklightSmoother(max_step=max_step)))
+        engine = Engine(HEBSAlgorithm(pipeline))
+        algorithm = engine.algorithm()
+        applied = _record(algorithm, "apply_solution")
+        rederived = _record(algorithm, "at_backlight")
+        with engine.open_session(
+                10.0, smoother=BacklightSmoother(max_step=max_step)) as session:
+            actual = [session.submit(frame) for frame in clip]
+        for want, got in zip(expected, actual):
+            assert got == want
+            assert np.array_equal(got.result.output.pixels,
+                                  want.result.output.pixels)
+        kept_rederived = sum(any(outcome.result is candidate
+                                 for candidate in rederived)
+                             for outcome in actual)
+        assert len(applied) == len(clip) - kept_rederived
+        # every re-derivation run is kept: the discarded ones were skipped
+        assert len(rederived) == kept_rederived
+        assert engine.processed == len(clip)
+
+    def test_skipping_changes_nothing(self, pipeline, clip):
+        """With the realized factor unknown every moved frame re-derives;
+        the outcomes are the same."""
+        outcomes, calls = [], []
+        for known in (True, False):
+            engine = Engine(HEBSAlgorithm(pipeline))
+            algorithm = engine.algorithm()
+            if not known:
+                algorithm.realized_backlight = lambda factor: None
+            calls.append(_record(algorithm, "at_backlight"))
+            with engine.open_session(10.0) as session:
+                outcomes.append([session.submit(frame) for frame in clip])
+        assert outcomes[0] == outcomes[1]
+        assert len(calls[0]) < len(calls[1])
+
+    @pytest.mark.parametrize("name", sorted(available_algorithms()))
+    def test_solution_carries_the_applied_factor(self, name, clip):
+        """A session reads the requested factor off the unapplied
+        solution."""
+        algorithm = create(name)
+        for frame in clip[::5]:
+            solution = algorithm.solve(frame, 10.0)
+            assert algorithm.apply_solution(
+                solution, frame, 10.0).backlight_factor == \
+                solution.backlight_factor
+
+    def test_realized_backlight_is_the_rederived_factor(self, pipeline,
+                                                        clip):
+        algorithm = HEBSAlgorithm(pipeline)
+        for factor in np.linspace(0.05, 1.0, 40):
+            assert algorithm.realized_backlight(factor) == \
+                algorithm.at_backlight(clip[0], factor).backlight_factor
 
 
 class TestSceneGatedFastPath:

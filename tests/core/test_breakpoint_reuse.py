@@ -252,10 +252,19 @@ def _adaptive_search_before_reuse(hebs: HEBS, image, max_distortion: float,
 
 class TestAdaptiveSearch:
     @pytest.mark.parametrize("budget", [5.0, 10.0, 20.0])
-    def test_selects_the_same_range_as_before(self, characteristic_curve,
-                                              full_suite, budget):
+    def test_keeps_the_bracket_near_the_old_range(self, characteristic_curve,
+                                                  full_suite, budget):
+        """The steered search probes elsewhere than the bisection, so it can
+        land on another range.  It keeps the budget and the bracket, and on
+        the suite it lands at most one level from the bisection's range
+        (33 of the 57 (image, budget) pairs move, each by one level)."""
         hebs = HEBS(characteristic_curve)
         for name, image in full_suite.items():
-            selected = hebs.process_adaptive(image, budget).target_range
-            assert selected == _adaptive_search_before_reuse(
-                hebs, image, budget), name
+            result = hebs.process_adaptive(image, budget)
+            selected = result.target_range
+            assert result.distortion <= budget, name
+            assert selected <= 3 or any(
+                hebs.process_with_range(image, below).distortion > budget
+                for below in (selected - 1, selected - 2)), name
+            assert abs(selected - _adaptive_search_before_reuse(
+                hebs, image, budget)) <= 1, name

@@ -33,7 +33,8 @@ class TestDarkeningTransform:
         assert table.max() <= target_range / (histogram.levels - 1) + 1e-12
 
     def test_pointwise_nondecreasing_in_range(self, baboon):
-        """The bisection's monotonicity premise."""
+        """The family darkens less as R grows (its distortion still is not
+        monotone in R; see ``ContentDarkener.select_range``)."""
         histogram = Histogram.of_image(baboon.to_grayscale())
         smaller = np.asarray(darkening_transform(histogram, 64).table)
         larger = np.asarray(darkening_transform(histogram, 192).table)
@@ -59,6 +60,70 @@ class TestDarkeningTransform:
                                         equalization="clipped")
         identity = np.linspace(0.0, 1.0, histogram.levels)
         assert np.all(np.asarray(transform.table) <= identity + 1e-12)
+
+
+def _select_range_before(darkener, histogram, max_distortion):
+    """``ContentDarkener.select_range`` before it moved onto the shared
+    search (a test-local copy): the probed ranges and the selection."""
+    realized = histogram.to_image()
+    budget = max_distortion * darkener.safety_margin
+    probes = []
+
+    def distortion_at(target_range):
+        probes.append(target_range)
+        transform = darkener.darkening_transform(histogram, target_range)
+        return float(darkener.measure(realized, transform.apply(realized)))
+
+    gentlest = histogram.levels - 1
+    if distortion_at(gentlest) > budget:
+        return probes, None
+    lowest = min(darkener.min_range, gentlest)
+    if distortion_at(lowest) <= budget:
+        return probes, lowest
+    low, high = lowest, gentlest
+    while high - low > 1:
+        middle = (low + high) // 2
+        if distortion_at(middle) <= budget:
+            high = middle
+        else:
+            low = middle
+    return probes, high
+
+
+class TestSharedSearch:
+    @pytest.mark.parametrize("equalization", ["ghe", "clipped"])
+    def test_select_range_replays_the_search_before(
+            self, monkeypatch, full_suite, equalization):
+        darkener = ContentDarkener(equalization=equalization)
+        for image in full_suite.values():
+            histogram = Histogram.of_image(image.to_grayscale())
+            for budget in (0.5, 5.0, 10.0, 20.0):
+                expected_probes, expected = _select_range_before(
+                    darkener, histogram, budget)
+                probes = []
+                transform_at = darkener.darkening_transform
+                monkeypatch.setattr(
+                    darkener, "darkening_transform",
+                    lambda h, r: probes.append(r) or transform_at(h, r))
+                assert darkener.select_range(histogram, budget) == expected
+                monkeypatch.undo()
+                assert probes == expected_probes
+
+    @pytest.mark.parametrize("equalization", ["ghe", "clipped"])
+    def test_luts_equal_the_checked_construction(self, full_suite,
+                                                 equalization):
+        """The LUTs skip re-validation but equal the public constructor's."""
+        identity = np.linspace(0.0, 1.0, 256)
+        for image in full_suite.values():
+            histogram = Histogram.of_image(image.to_grayscale())
+            for target_range in (1, 16, 100, 255):
+                lut = darkening_transform(histogram, target_range,
+                                          equalization)
+                table = np.asarray(lut.table)
+                assert lut == LUTTransform(tuple(table))
+                assert lut.table == tuple(float(v) for v in np.minimum(
+                    table, identity))
+                assert all(type(v) is float for v in lut.table)
 
 
 class TestContentDarkener:

@@ -51,6 +51,27 @@ class TestEqualizationTransform:
             equalization_transform(histogram, -5, 100)
 
 
+    def test_equals_the_checked_construction(self, full_suite):
+        """The LUT skips re-validation but equals the public constructor's,
+        float for float, for every equalizer that builds it that way."""
+        from repro.core.equalization_variants import get_equalizer
+        from repro.core.transforms import LUTTransform
+        for image in full_suite.values():
+            histogram = Histogram.of_image(image.to_grayscale())
+            for g_min, g_max in ((0, 255), (0, 37), (16, 200)):
+                for name in ("ghe", "clipped", "bbhe"):
+                    lut = get_equalizer(name)(histogram, g_min,
+                                              g_max).transform
+                    assert lut == LUTTransform(tuple(lut.table))
+                    assert all(type(v) is float for v in lut.table)
+                cumulative = np.cumsum(histogram.counts).astype(np.float64)
+                checked = LUTTransform(tuple(float(v) for v in np.clip(
+                    (g_min + (g_max - g_min) * cumulative / cumulative[-1])
+                    / 255, 0.0, 1.0)))
+                assert equalization_transform(histogram, g_min,
+                                              g_max).table == checked.table
+
+
 class TestEqualizeHistogram:
     def test_result_fields(self, lena):
         result = equalize_histogram(lena, 10, 210)

@@ -220,6 +220,100 @@ class TestProcessAdaptive:
         assert adaptive.power_saving >= curve_based.power_saving - 1e-6
 
 
+def _bisection_before_steering(hebs, image, budget, tolerance=2):
+    """``process_adaptive``'s search before it was steered (a test-local
+    copy): the probed ranges, and the selected range or ``None``."""
+    probes = []
+
+    def feasible(target_range):
+        probes.append(target_range)
+        return hebs.process_with_range(image, target_range,
+                                       budget).distortion <= budget
+
+    full_range = hebs.curve.levels - 1 - hebs.config.g_min
+    if not feasible(full_range):
+        return probes, None
+    low, high = 1, full_range
+    while high - low > tolerance:
+        middle = (low + high) // 2
+        if feasible(middle):
+            high = middle
+        else:
+            low = middle
+    return probes, high
+
+
+def _record_probes(monkeypatch, hebs):
+    """Record the ranges ``hebs.process_adaptive`` probes exactly."""
+    probes = []
+    probe = hebs.process_with_range
+
+    def recorded(image, target_range, max_distortion=None):
+        probes.append(target_range)
+        return probe(image, target_range, max_distortion)
+
+    monkeypatch.setattr(hebs, "process_with_range", recorded)
+    return probes
+
+
+class TestSteeredSearch:
+    """``ghe`` and ``clipped`` under the ``effective`` measure steer the
+    range search with the closed-form curve; everything else bisects as
+    before, probe for probe."""
+
+    @pytest.mark.parametrize("changes", [
+        {"equalization": "bbhe"},
+        {"distortion_measure": "rmse"},
+        {"distortion_measure": "uqi", "equalization": "clipped"},
+    ])
+    def test_other_configurations_replay_the_bisection(
+            self, monkeypatch, pipeline, small_suite, changes):
+        hebs = pipeline.with_config(**changes)
+        for image in small_suite.values():
+            for budget in (5.0, 10.0, 20.0):
+                expected_probes, expected = _bisection_before_steering(
+                    hebs, image, budget)
+                probes = _record_probes(monkeypatch, hebs)
+                result = hebs.process_adaptive(image, budget)
+                monkeypatch.undo()
+                assert probes == expected_probes
+                if expected is not None:
+                    again = hebs.process_with_range(image, expected, budget)
+                    assert result.target_range == expected
+                    assert np.array_equal(result.transformed.pixels,
+                                          again.transformed.pixels)
+                    assert result.distortion == again.distortion
+
+    @pytest.mark.parametrize("changes", [{}, {"equalization": "clipped"},
+                                         {"g_min": 16}])
+    def test_steered_solves_probe_three_times_and_never_more_than_ten(
+            self, monkeypatch, pipeline, full_suite, changes):
+        hebs = pipeline.with_config(**changes)
+        counts = []
+        for name, image in full_suite.items():
+            for budget in (5.0, 10.0, 20.0):
+                probes = _record_probes(monkeypatch, hebs)
+                result = hebs.process_adaptive(image, budget)
+                monkeypatch.undo()
+                counts.append(len(probes))
+                assert len(set(probes)) == len(probes), name
+                assert result.distortion <= budget, name
+        assert max(counts) <= 10
+        assert float(np.mean(counts)) <= 3.5
+        assert counts.count(3) >= 0.8 * len(counts)
+
+    def test_the_steer_neither_probes_nor_measures(self, monkeypatch,
+                                                   pipeline, lena):
+        """Every measure call belongs to an exact probe."""
+        hebs = pipeline.with_config()
+        measure, calls = hebs._measure, []
+        hebs._measure = lambda original, candidate: (
+            calls.append(1) or measure(original, candidate))
+        probes = _record_probes(monkeypatch, hebs)
+        hebs.process_adaptive(lena, 10.0)
+        assert len(calls) == len(probes) == 3
+
+
 class TestWithConfig:
     def test_with_config_changes_segments(self, pipeline, lena):
         coarse = pipeline.with_config(n_segments=2, driver_sources=2)

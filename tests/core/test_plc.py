@@ -1,5 +1,8 @@
 """Unit tests for Piecewise Linear Coarsening (Eq. 8-9, Fig. 3)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.core.plc import (
     PiecewiseLinearCurve,
     chord_error_matrix,
     coarsen_curve,
+    coarsen_through,
     coarsen_transform,
     kband_spreading_function,
     segment_error,
@@ -290,3 +294,100 @@ class TestMatchesRecomputingSolver:
         y = np.array([0.0, 0.5, 200.0, 201.0, 202.0, 260.0])
         assert np.array_equal(chord_error_matrix(x, y),
                               _reference_chord_error_matrix(x, y))
+
+
+def _pair_errors_before(x, y, path=None):
+    """``plc._pair_errors`` before it computed into scratch buffers (a
+    test-local copy): one fresh array per operation."""
+    from repro.core.plc import _abscissa_terms, _prefix_sums
+    terms = _abscissa_terms(x.tobytes())
+    if path is not None:
+        terms = terms.along(path)
+    i, j1 = terms.i, terms.j + 1
+    prefix_y = _prefix_sums(y)
+    prefix_yy = _prefix_sums(y * y)
+    prefix_xy = _prefix_sums(x * y)
+    sum_y = prefix_y[j1] - prefix_y[i]
+    sum_yy = prefix_yy[j1] - prefix_yy[i]
+    sum_xy = prefix_xy[j1] - prefix_xy[i]
+    x_i, y_i, y_j = terms.x_i, y[i], y[terms.j]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slope = (y_j - y_i) / terms.dx
+        sum_a2 = sum_yy - 2.0 * y_i * sum_y + terms.count * y_i * y_i
+        sum_ab = (sum_xy - x_i * sum_y - y_i * terms.sum_x
+                  + terms.count_x_i * y_i)
+        errors = sum_a2 - 2.0 * slope * sum_ab + slope * slope * terms.sum_b2
+    errors = np.where(terms.adjacent, 0.0, errors)
+    errors = np.where(np.isfinite(errors), errors, np.inf)
+    return np.maximum(errors, 0.0)
+
+
+class TestScratch:
+    def test_pair_errors_are_bit_identical_to_the_allocating_code(self):
+        """Same operations in the same order: equal bit for bit, on random
+        LUTs, on near-duplicate abscissae (infinite slopes) and along
+        paths."""
+        from repro.core.plc import _pair_errors
+        rng = np.random.default_rng(29)
+        cases = [(np.arange(256, dtype=np.float64),
+                  np.sort(rng.random(256)) * 255.0) for _ in range(4)]
+        x = np.sort(rng.random(64)) * 63.0
+        x[10] = np.nextafter(x[9], np.inf)
+        cases.append((x, rng.random(64) * 1e3))
+        for x, y in cases:
+            _, errors = _pair_errors(x, y, {})
+            assert np.array_equal(errors, _pair_errors_before(x, y))
+            path = np.unique(np.concatenate(
+                [[0, x.size - 1], rng.integers(0, x.size, size=6)]))
+            _, along = _pair_errors(x, y, {}, path)
+            assert np.array_equal(along, _pair_errors_before(x, y, path))
+
+    def test_concurrent_solves_get_the_serial_results(self):
+        """Each solve borrows scratch no other solve holds: six threads on
+        two cores, switching every microsecond, mixing two bit depths (which
+        replaces a scratch set's buffers) and the path-only chord errors,
+        get the serial curves; afterwards one set at most stays idle."""
+        rng = np.random.default_rng(23)
+        luts = [LUTTransform(tuple(np.sort(rng.random(levels))))
+                for levels in (256, 64) for _ in range(3)]
+        jobs = [(index, n_segments) for index in range(len(luts))
+                for n_segments in (3, 8)]
+
+        def solve(job):
+            index, n_segments = job
+            coarse = coarsen_transform(luts[index], n_segments)
+            through = coarsen_through(luts[index], coarse.breakpoint_indices)
+            return coarse, through
+
+        expected = {job: solve(job) for job in jobs}
+        results: dict[int, list] = {}
+        errors = []
+
+        def worker(offset: int) -> None:
+            try:
+                order = np.random.default_rng(offset).permutation(len(jobs))
+                results[offset] = [(jobs[k], solve(jobs[k]))
+                                   for k in np.tile(order, 3)]
+            except Exception as error:       # surfaced by the assertion
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(offset,))
+                       for offset in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert sorted(results) == list(range(6))
+        for outcome in results.values():
+            for job, (coarse, through) in outcome:
+                assert coarse == expected[job][0]
+                assert through == expected[job][1] == coarse
+        from repro.core.plc import _idle_scratch
+        assert len(_idle_scratch) <= 1

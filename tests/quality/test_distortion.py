@@ -8,11 +8,16 @@ from repro.imaging.image import Image
 from repro.imaging.ops import adjust_brightness, adjust_contrast, clip_pixels
 from repro.quality import distortion as distortion_module
 from repro.quality.distortion import (
+    CONTRAST_LOSS_EXPONENT,
+    LUMINANCE_ADAPTATION_EXPONENT,
+    RangeDistortion,
     available_measures,
     effective_distortion,
     get_measure,
     register_measure,
 )
+from repro.quality.hvs import HVSModel
+from repro.quality.uqi import uqi_components
 
 
 class TestEffectiveDistortion:
@@ -67,6 +72,82 @@ class TestEffectiveDistortion:
         charged = effective_distortion(lena, shifted, luminance_exponent=1.0,
                                        contrast_loss_exponent=1.0)
         assert adapted < charged
+
+
+class TestRangeDistortion:
+    """``D~(R)``, the closed-form curve that steers ``hebs-adaptive``."""
+
+    @staticmethod
+    def _every_other_window(original, transformed):
+        """The measure's own per-window factors for ``transformed``,
+        adapted, weighted and pooled over every other window in each axis
+        (the windows ``D~`` keeps)."""
+        prepared = distortion_module._prepared_reference(original, 8,
+                                                         HVSModel())
+        factors = uqi_components(prepared.uqi, transformed)
+        kept = (slice(None, None, 2),) * 2
+        variance = prepared.uqi.variance[kept]
+        lost = ((variance > 1e-12)
+                & (factors.candidate_variance[kept] < variance))
+        contrast = np.where(lost, np.clip(factors.contrast[kept], 0.0, 1.0),
+                            1.0)
+        quality = (np.clip(factors.correlation[kept], 0.0, 1.0)
+                   * np.clip(factors.luminance[kept], 0.0, 1.0)
+                   ** LUMINANCE_ADAPTATION_EXPONENT
+                   * contrast ** CONTRAST_LOSS_EXPONENT)
+        weights = prepared.weights[kept]
+        return 100.0 * (1.0 - float(np.sum(quality * weights)
+                                    / np.sum(weights)))
+
+    @pytest.mark.parametrize("offset", [0, 16])
+    def test_pools_the_measure_when_nothing_rounds(self, small_suite,
+                                                   offset):
+        """Where ``offset + R * shape`` lands on display levels, ``D~(R)``
+        is the measure's per-window factors pooled over the windows it
+        keeps (up to its single-precision evaluation): the factor formulas
+        have not drifted."""
+        rng = np.random.default_rng(3)
+        for image in small_suite.values():
+            gray = image.to_grayscale()
+            steps = np.sort(rng.integers(0, 240 - offset, size=256))
+            steps[rng.random(256) < 0.3] = 0          # flat runs as well
+            levels = np.maximum.accumulate(steps)
+            for target_range in (1, 3):
+                shape = levels / 255.0 / target_range
+                curve = RangeDistortion(gray, offset / 255.0, shape)
+                transformed = gray.with_pixels(offset + levels[gray.pixels])
+                # measured: within 1.1e-5, and 0.04 of the full grid
+                assert curve(target_range) == pytest.approx(
+                    self._every_other_window(gray, transformed), abs=1e-4)
+                assert curve(target_range) == pytest.approx(
+                    effective_distortion(gray, transformed), abs=0.1)
+
+    def test_tracks_the_measure_on_the_suite(self, pipeline, full_suite):
+        """At R = 40, 80, ..., 240 on the rounded, displayed images.
+        Measured: median 0.029, p95 0.34, max 2.76 distortion points; the
+        max is the synthetic test chart at R = 40, whose flat bars round
+        onto shared levels that ``D~`` keeps apart.  Every other image
+        stays within 0.48."""
+        errors = {}
+        for name, image in full_suite.items():
+            gray = image.to_grayscale()
+            widest = pipeline.process_with_range(gray, 255)
+            shape = np.asarray(widest.transform(np.arange(256) / 255)) / 255
+            curve = RangeDistortion(gray, 0.0, shape)
+            for target_range in range(40, 241, 40):
+                exact = pipeline.process_with_range(gray, target_range)
+                errors[name, target_range] = abs(curve(target_range)
+                                                 - exact.distortion)
+        values = np.array(list(errors.values()))
+        assert float(np.median(values)) <= 0.05
+        assert float(np.percentile(values, 95)) <= 0.5
+        assert max(error for (name, _), error in errors.items()
+                   if name != "testpat") <= 0.6
+        assert float(values.max()) <= 3.0
+
+    def test_validation(self, lena):
+        with pytest.raises(ValueError, match="levels"):
+            RangeDistortion(lena, 0.0, np.zeros(16))
 
 
 class TestMeasureRegistry:

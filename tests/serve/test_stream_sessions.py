@@ -34,7 +34,8 @@ def clip():
 
 
 class HeldEngine(Engine):
-    """An engine whose ``process_batch`` waits for ``release``; ``entered``
+    """An engine whose batch calls (``process_batch`` for one-shot requests,
+    ``solve_batch`` for session frames) wait for ``release``; ``entered``
     is set once a call is inside."""
 
     def __init__(self, *args, **kwargs):
@@ -42,11 +43,19 @@ class HeldEngine(Engine):
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def process_batch(self, images, max_distortion, algorithm=None):
+    def _hold(self) -> None:
         self.entered.set()
         assert self.release.wait(timeout=30.0), "engine never released"
+
+    def process_batch(self, images, max_distortion, algorithm=None):
+        self._hold()
         return super().process_batch(images, max_distortion,
                                      algorithm=algorithm)
+
+    def solve_batch(self, images, max_distortion, algorithm=None):
+        self._hold()
+        return super().solve_batch(images, max_distortion,
+                                   algorithm=algorithm)
 
 
 @pytest.fixture
@@ -79,6 +88,34 @@ class TestServerSessions:
             assert got.scene_change == want.scene_change
             assert np.array_equal(want.result.output.pixels,
                                   got.result.output.pixels)
+
+    def test_served_frames_apply_only_kept_solutions(self, pipeline, clip):
+        """Session frames ride ``solve_batch``: a frame's own solution is
+        applied only when no re-derivation replaces it."""
+        engine = Engine(HEBSAlgorithm(pipeline))
+        algorithm = engine.algorithm()
+        applied, rederived = [], []
+        apply_solution = algorithm.apply_solution
+        at_backlight = algorithm.at_backlight
+
+        def counted_apply(*args, **kwargs):
+            applied.append(1)
+            return apply_solution(*args, **kwargs)
+
+        def recorded_rederive(*args, **kwargs):
+            rederived.append(at_backlight(*args, **kwargs))
+            return rederived[-1]
+
+        algorithm.apply_solution = counted_apply
+        algorithm.at_backlight = recorded_rederive
+        with Server(engine=engine, workers=1) as server:
+            with server.open_session(10.0) as session:
+                outcomes = [session.submit(frame).result(timeout=30.0)
+                            for frame in clip]
+        kept = sum(any(outcome.result is candidate
+                       for candidate in rederived) for outcome in outcomes)
+        assert kept > 0
+        assert len(applied) == len(clip) - kept
 
     def test_pipelined_submits_resolve_in_display_order(self, pipeline,
                                                         server, clip):

@@ -11,6 +11,8 @@ ones the paper's correctness rests on:
 * Every pixel transformation of the Fig. 2 family is monotone and bounded.
 * The CCFL model is continuous and non-decreasing; power saving is in [0, 1).
 * The effective distortion is zero for identical images and non-negative.
+* ``hebs-adaptive`` keeps its budget on the image it was asked about, with
+  the search's bracket guarantee.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from repro.core.transforms import (
 from repro.display.ccfl import CCFLModel
 from repro.display.driver import HierarchicalDriver
 from repro.imaging.image import Image
+from repro.imaging.synthetic import SyntheticImageSpec, generate
 from repro.quality.distortion import effective_distortion
 from repro.quality.uqi import universal_quality_index
 
@@ -329,3 +332,40 @@ def test_effective_distortion_nonnegative_and_finite(image, offset):
     value = effective_distortion(image, shifted, window=4)
     assert np.isfinite(value)
     assert value >= 0.0
+
+
+# ----------------------------------------------------------------------- #
+# budget-keeping properties
+# ----------------------------------------------------------------------- #
+synthetic_images = st.builds(
+    SyntheticImageSpec,
+    name=st.text("abcdefghij", min_size=1, max_size=8),
+    scene=st.sampled_from(["portrait", "landscape", "still_life", "texture",
+                           "low_key", "architecture", "test_pattern"]),
+    key=st.floats(0.1, 0.9),
+    contrast=st.floats(0.2, 1.6),
+    size=st.sampled_from([(48, 48), (64, 40), (96, 96)]),
+).map(generate)
+
+
+@given(image=synthetic_images, budget=st.floats(2.0, 25.0),
+       equalization=st.sampled_from(["ghe", "clipped"]))
+@settings(max_examples=40, deadline=None)
+def test_adaptive_results_keep_their_budget_and_bracket(
+        characteristic_curve, image, budget, equalization):
+    """On its own pixels, the result is within budget; and unless it is the
+    identity fallback, a range one or two levels below it is over budget
+    (range 1 counts as over budget and is never probed)."""
+    hebs = HEBS(characteristic_curve, HEBSConfig(equalization=equalization))
+    result = hebs.process_adaptive(image, budget)
+    assert result.distortion <= budget
+    assert effective_distortion(result.original,
+                                result.transformed) == result.distortion
+    selected = result.target_range
+    if hebs.process_with_range(image, selected).distortion > budget:
+        # the identity fallback: even the full range was over budget
+        assert selected == 255 and result.backlight_factor == 1.0
+        return
+    assert selected <= 3 or any(
+        hebs.process_with_range(image, below).distortion > budget
+        for below in (selected - 1, selected - 2))
